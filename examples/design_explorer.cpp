@@ -8,7 +8,6 @@
  * Usage:
  *   design_explorer [--budget=1000000] [--bench=gcc1]
  *                   [--offchip=50] [--refs=2000000] [--threads=N]
- *                   [--backend=exact|analytic|analytic-prune]
  *                   [--quiet|--verbose] [--profile] [--progress]
  *                   [--trace-out=FILE] [--manifest=FILE]
  *                   [--metrics-out=FILE]
@@ -17,15 +16,6 @@
  *                   [--shard-timeout=SECS] [--max-retries=N]
  *                   [--store-fsync]
  *   design_explorer --request=FILE [--stats-out=FILE]
- *
- * Backends (docs/analytic_model.md):
- *   --backend=exact           simulate every point (default)
- *   --backend=analytic        one reuse-distance profiling pass per
- *                             benchmark answers every point; exact
- *                             for the paper's design space, modeled
- *                             outside it
- *   --backend=analytic-prune  rank analytically, simulate only the
- *                             likely-envelope survivors exactly
  *
  * Persistence (docs/parallelism.md):
  *   --result-store=FILE  persistent sweep cache: points already in
@@ -117,16 +107,6 @@ main(int argc, char **argv)
     EvaluatorOptions evopts;
     evopts.traceRefs = refs;
     evopts.resultStore = store;
-    if (!missBackendFromName(flags.backend, evopts.backend))
-        fatal("--backend=%s: unknown backend (exact, analytic, "
-              "analytic-prune)", flags.backend.c_str());
-    if (isolate && evopts.backend == MissBackend::AnalyticPrune) {
-        // Supervised shards price points out of process and never
-        // enter Explorer::evaluateAll's pruning path; run pruning
-        // in-process or drop it rather than silently not pruning.
-        warn("--isolate=process ignores --backend=analytic-prune's "
-             "pruning; shards simulate every point exactly");
-    }
     MissRateEvaluator ev(evopts);
     Explorer ex(ev);
     if (progress)

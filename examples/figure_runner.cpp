@@ -8,7 +8,6 @@
  *   figure_runner --list
  *   figure_runner --figure=fig05 [--refs=2000000] [--csv]
  *                 [--threads=N] [--quiet|--verbose] [--profile]
- *                 [--backend=exact|analytic|analytic-prune]
  *                 [--progress] [--trace-out=FILE] [--manifest=FILE]
  *                 [--metrics-out=FILE]
  *                 [--result-store=FILE] [--resume]
@@ -93,8 +92,7 @@ listCatalog()
 
 int
 runScatter(const FigureSpec &f, std::uint64_t refs, bool csv,
-           bool progress, MissBackend backend,
-           std::shared_ptr<SweepCache> store,
+           bool progress, std::shared_ptr<SweepCache> store,
            const SupervisorOptions *sopts, std::size_t *points_priced,
            SupervisionStats *sup_stats,
            std::vector<ShardTimeline> *sup_timeline)
@@ -102,7 +100,6 @@ runScatter(const FigureSpec &f, std::uint64_t refs, bool csv,
     EvaluatorOptions evopts;
     evopts.traceRefs = refs;
     evopts.resultStore = std::move(store);
-    evopts.backend = backend;
     MissRateEvaluator ev(evopts);
     Explorer ex(ev);
     // The supervisor is inherently fail-soft, so the isolated path
@@ -196,18 +193,8 @@ main(int argc, char **argv)
     std::uint64_t refs = flags.refs;
     bool csv = args.getBool("csv", false);
     bool progress = flags.progress;
-    MissBackend backend = MissBackend::Exact;
-    if (!missBackendFromName(flags.backend, backend))
-        fatal("--backend=%s: unknown backend (exact, analytic, "
-              "analytic-prune)", flags.backend.c_str());
     SupervisorOptions sopts;
     const bool isolate = supervisorOptionsFromArgs(args, &sopts);
-    if (isolate && backend == MissBackend::AnalyticPrune) {
-        // Supervised shards price points out of process and never
-        // enter Explorer::evaluateAll's pruning path.
-        warn("--isolate=process ignores --backend=analytic-prune's "
-             "pruning; shards simulate every point exactly");
-    }
     std::shared_ptr<SweepCache> store;
     if (!flags.resultStore.empty() && !isolate) {
         // In isolate mode the worker subprocesses own the store —
@@ -232,7 +219,7 @@ main(int argc, char **argv)
     int rc = 0;
     switch (f.kind) {
       case ExhibitKind::TpiScatter:
-        rc = runScatter(f, refs, csv, progress, backend, store,
+        rc = runScatter(f, refs, csv, progress, store,
                         isolate ? &sopts : nullptr, &pointsPriced,
                         &supStats, &supTimeline);
         break;

@@ -26,7 +26,6 @@ struct EvalMetrics
     MetricCounter &memoMisses;
     MetricCounter &tracesGenerated;
     MetricCounter &syntheticRecords;
-    MetricCounter &analyticPoints;
 
     static EvalMetrics &get()
     {
@@ -39,21 +38,10 @@ struct EvalMetrics
                 "trace.synthetic.generated"),
             MetricsRegistry::global().counter(
                 "trace.synthetic.records"),
-            MetricsRegistry::global().counter(
-                "explore.analytic.points"),
         };
         return m;
     }
 };
-
-/**
- * Versioned persistent-store tag of the analytic model. Bump when
- * the reuse-distance model changes meaning, so stale analytic
- * entries stop matching without touching exact entries (whose key
- * texts must stay byte-compatible with stores written before
- * backends existed).
- */
-constexpr const char *kAnalyticStoreTag = "analytic1";
 
 } // namespace
 
@@ -84,57 +72,16 @@ TracePool::size() const
     return traces_.size();
 }
 
-const char *
-missBackendName(MissBackend b)
-{
-    switch (b) {
-      case MissBackend::Exact:
-        return "exact";
-      case MissBackend::Analytic:
-        return "analytic";
-      case MissBackend::AnalyticPrune:
-        return "analytic-prune";
-    }
-    return "unknown";
-}
-
-bool
-missBackendFromName(const std::string &name, MissBackend &out)
-{
-    std::string canon = name;
-    for (char &c : canon) {
-        if (c == '_')
-            c = '-';
-    }
-    if (canon == "exact") {
-        out = MissBackend::Exact;
-        return true;
-    }
-    if (canon == "analytic") {
-        out = MissBackend::Analytic;
-        return true;
-    }
-    if (canon == "analytic-prune" || canon == "prune") {
-        out = MissBackend::AnalyticPrune;
-        return true;
-    }
-    return false;
-}
-
 MissRateEvaluator::MissRateEvaluator(EvaluatorOptions options)
     : traceRefs_(options.traceRefs ? options.traceRefs
                                    : Workloads::defaultTraceLength()),
       warmupFraction_(options.warmupFraction),
-      backend_(options.backend),
-      pruneMargin_(options.pruneMargin),
       store_(std::move(options.resultStore)),
       pool_(std::move(options.tracePool)),
       traceFiles_(std::move(options.traceFiles))
 {
     tlc_assert(warmupFraction_ >= 0.0 && warmupFraction_ < 1.0,
                "warmup fraction %f out of range", warmupFraction_);
-    tlc_assert(pruneMargin_ >= 0.0, "prune margin %f negative",
-               pruneMargin_);
 }
 
 MissRateEvaluator::MissRateEvaluator(std::uint64_t trace_refs,
@@ -229,8 +176,7 @@ MissRateEvaluator::key(Benchmark b, const SystemConfig &c) const
 }
 
 std::string
-MissRateEvaluator::storeKeyText(Benchmark b, const SystemConfig &c,
-                                MissBackend backend)
+MissRateEvaluator::storeKeyText(Benchmark b, const SystemConfig &c)
 {
     std::string traceId;
     {
@@ -252,13 +198,7 @@ MissRateEvaluator::storeKeyText(Benchmark b, const SystemConfig &c,
         }
         traceId = it->second;
     }
-    // Exact results keep the legacy (tag-free) key text so stores
-    // written before backends existed stay warm; analytic estimates
-    // get a versioned tag and can never alias them.
-    return SweepCache::keyText(traceId, warmupRefs(), c,
-                               backend == MissBackend::Analytic
-                                   ? kAnalyticStoreTag
-                                   : std::string());
+    return SweepCache::keyText(traceId, warmupRefs(), c);
 }
 
 std::unique_ptr<Hierarchy>
@@ -271,90 +211,9 @@ MissRateEvaluator::makeHierarchy(const SystemConfig &config)
     return std::make_unique<SingleLevelHierarchy>(config.l1Params());
 }
 
-Expected<const ReuseProfile *>
-MissRateEvaluator::tryProfile(Benchmark b, std::uint32_t line_bytes,
-                              std::uint32_t l2_ways, ReplPolicy l2_repl)
-{
-    const std::tuple<int, std::uint32_t, std::uint32_t, int> pk{
-        static_cast<int>(b), line_bytes, l2_ways,
-        static_cast<int>(l2_repl)};
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = profiles_.find(pk);
-        if (it != profiles_.end())
-            return static_cast<const ReuseProfile *>(it->second.get());
-    }
-
-    Expected<const TraceBuffer *> t = tryTrace(b);
-    if (!t.ok())
-        return t.status();
-
-    // Profile outside the lock — it is one full trace pass. Two
-    // workers racing on the same key compute identical (deterministic)
-    // profiles and the first insert wins; the loser's copy is freed.
-    auto prof = std::make_unique<ReuseProfile>(
-        ReuseProfile::profile(*t.value(), line_bytes, warmupRefs(),
-                              l2_ways, l2_repl));
-
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = profiles_.emplace(pk, std::move(prof)).first;
-    return static_cast<const ReuseProfile *>(it->second.get());
-}
-
-Expected<HierarchyStats>
-MissRateEvaluator::tryAnalyticStats(Benchmark b,
-                                    const SystemConfig &config)
-{
-    Status cs = config.check();
-    if (!cs.ok())
-        return cs;
-
-    // Backend-distinct memo key: exact keys start with a digit, so
-    // the prefix can never collide with them.
-    std::string k = "analytic:" + key(b, config);
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = results_.find(k);
-        if (it != results_.end()) {
-            EvalMetrics::get().memoHits.inc();
-            return it->second;
-        }
-    }
-    EvalMetrics::get().memoMisses.inc();
-
-    std::string text;
-    if (hasResultStore()) {
-        text = storeKeyText(b, config, MissBackend::Analytic);
-        if (std::optional<HierarchyStats> cached = store_->lookup(text)) {
-            std::lock_guard<std::mutex> lock(mu_);
-            return results_.emplace(k, *cached).first->second;
-        }
-    }
-
-    Expected<const ReuseProfile *> prof =
-        tryProfile(b, config.assume.lineBytes, config.assume.l2Assoc,
-                   config.assume.l2Repl);
-    if (!prof.ok())
-        return prof.status();
-
-    // Deliberately NOT recordHierarchyMetrics: the cache.* counters
-    // audit what was actually simulated, and analytic estimates
-    // would contaminate them.
-    HierarchyStats s = prof.value()->statsFor(config);
-    EvalMetrics::get().analyticPoints.inc();
-    if (hasResultStore())
-        store_->store(text, s);
-
-    std::lock_guard<std::mutex> lock(mu_);
-    return results_.emplace(k, s).first->second;
-}
-
 Expected<HierarchyStats>
 MissRateEvaluator::tryMissStats(Benchmark b, const SystemConfig &config)
 {
-    if (backend_ == MissBackend::Analytic)
-        return tryAnalyticStats(b, config);
-
     Status cs = config.check();
     if (!cs.ok())
         return cs;
@@ -405,19 +264,6 @@ std::vector<Expected<HierarchyStats>>
 MissRateEvaluator::tryMissStatsBatch(Benchmark b,
                                      std::span<const SystemConfig> configs)
 {
-    if (backend_ == MissBackend::Analytic) {
-        // No trace pass to share: every slot is answered from the
-        // (one-time) profile, with the same per-slot fail-soft
-        // semantics as the exact batch — an invalid config fails its
-        // own slot, an unobtainable trace fails every slot with the
-        // identical Status the exact path would report.
-        std::vector<Expected<HierarchyStats>> out;
-        out.reserve(configs.size());
-        for (const SystemConfig &c : configs)
-            out.push_back(tryAnalyticStats(b, c));
-        return out;
-    }
-
     // Placeholder status for slots resolved later; every slot is
     // overwritten before the function returns.
     const Status pending =

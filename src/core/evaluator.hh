@@ -22,15 +22,6 @@
  * decode of the benchmark trace. Results are byte-identical to
  * per-config tryMissStats() calls.
  *
- * Backends: EvaluatorOptions::backend selects how miss statistics
- * are produced — Exact simulation (default), the Analytic
- * reuse-distance model (core/reuse_profile.hh; one profiling pass
- * answers every cache size), or AnalyticPrune (exact here; the
- * Explorer prunes the sweep analytically and simulates only
- * Pareto-front survivors). Memo and store keys are backend-distinct,
- * so analytic estimates can never be served where exact counts were
- * requested or vice versa.
- *
  * Persistence: with EvaluatorOptions::resultStore set, a second
  * cache level sits between the memo and simulation — a persistent,
  * content-addressed SweepCache (core/sweep_cache.hh). Points
@@ -60,39 +51,12 @@
 #include <vector>
 
 #include "cache/hierarchy.hh"
-#include "core/reuse_profile.hh"
 #include "core/sweep_cache.hh"
 #include "core/system_config.hh"
 #include "trace/workload.hh"
 #include "util/status.hh"
 
 namespace tlc {
-
-/**
- * How miss statistics are produced.
- *
- *  - Exact: simulate every configuration against the trace (the
- *    default, and the only backend that models swaps, writebacks and
- *    non-LRU replacement exactly).
- *  - Analytic: answer every configuration from one reuse-distance
- *    profiling pass per (benchmark, line size) — see
- *    core/reuse_profile.hh. Approximate for set-associative and
- *    random-replacement geometries; docs/analytic_model.md states
- *    the model and the measured error bounds.
- *  - AnalyticPrune: the evaluator behaves like Exact; Explorer uses
- *    the analytic model to RANK the design space, prunes dominated
- *    points, and simulates only the surviving Pareto-front
- *    candidates exactly, reproducing the exact sweep's envelope at a
- *    fraction of the simulations.
- */
-enum class MissBackend { Exact, Analytic, AnalyticPrune };
-
-/** Stable CLI name: "exact", "analytic", "analytic-prune". */
-const char *missBackendName(MissBackend b);
-
-/** Parse a missBackendName spelling ('_' accepted for '-');
- *  returns false on unknown names, leaving @p out untouched. */
-bool missBackendFromName(const std::string &name, MissBackend &out);
 
 /**
  * A process-wide pool of loaded/generated benchmark traces, shared
@@ -158,26 +122,6 @@ struct EvaluatorOptions
      *  already-loaded traces. Null (the default) keeps the classic
      *  per-evaluator trace cache. */
     std::shared_ptr<TracePool> tracePool;
-    /** Miss-statistics backend (see MissBackend). Results from
-     *  different backends never alias: the in-memory memo prefixes
-     *  analytic keys, and the persistent store appends a backend tag
-     *  to analytic key texts (exact key texts are unchanged, so
-     *  stores written by exact-only builds stay valid). */
-    MissBackend backend = MissBackend::Exact;
-    /** AnalyticPrune safety margin: a point survives pruning while
-     *  its analytic TPI is within (1 + pruneMargin) of the best
-     *  analytic TPI among points of equal or smaller area. Must
-     *  exceed the analytic model's worst near-frontier ranking
-     *  error. Design spaces covered by the profiler's exact ladders
-     *  (direct-mapped L1s, mostly-inclusive L2 in range — the
-     *  paper's whole space) have ZERO ranking error, so the default
-     *  is a token safety band; spaces that hit the approximate
-     *  fallback models need a margin sized to the measured error
-     *  (up to ~0.35 on the synthetic family — see
-     *  docs/analytic_model.md before trusting pruned envelopes
-     *  there). Calibrated by tests/test_figures_golden.cc and
-     *  bench/analytic_sweep.cc. */
-    double pruneMargin = 0.02;
 };
 
 /**
@@ -226,35 +170,8 @@ class MissRateEvaluator
     std::vector<Expected<HierarchyStats>> tryMissStatsBatch(
         Benchmark b, std::span<const SystemConfig> configs);
 
-    /**
-     * The (lazily computed, cached) reuse-distance profile of @p b
-     * at @p line_bytes, or the Status explaining why the trace could
-     * not be obtained. One profiling pass per (benchmark, line size)
-     * for the evaluator's lifetime; the pointer stays valid for the
-     * evaluator's lifetime and the profile is immutable, so workers
-     * share it freely.
-     */
-    Expected<const ReuseProfile *>
-    tryProfile(Benchmark b, std::uint32_t line_bytes,
-               std::uint32_t l2_ways = 4,
-               ReplPolicy l2_repl = ReplPolicy::Random);
-
-    /**
-     * ANALYTIC miss statistics of @p config on @p b (memoized under
-     * backend-distinct keys), failing soft with exactly the Status
-     * values the exact path produces for the same inputs: an invalid
-     * configuration fails config.check(), an unreadable trace fails
-     * the profile. Available whatever the constructed backend;
-     * tryMissStats routes here when the backend is Analytic.
-     */
-    Expected<HierarchyStats> tryAnalyticStats(Benchmark b,
-                                              const SystemConfig &config);
-
     /** Run an arbitrary hierarchy against a benchmark's trace. */
     void simulate(Benchmark b, Hierarchy &h);
-
-    MissBackend backend() const { return backend_; }
-    double pruneMargin() const { return pruneMargin_; }
 
     std::uint64_t traceRefs() const { return traceRefs_; }
     std::uint64_t warmupRefs() const;
@@ -270,8 +187,7 @@ class MissRateEvaluator
 
   private:
     std::string key(Benchmark b, const SystemConfig &c) const;
-    std::string storeKeyText(Benchmark b, const SystemConfig &c,
-                             MissBackend backend = MissBackend::Exact);
+    std::string storeKeyText(Benchmark b, const SystemConfig &c);
     static std::unique_ptr<Hierarchy> makeHierarchy(
         const SystemConfig &config);
 
@@ -282,20 +198,13 @@ class MissRateEvaluator
 
     std::uint64_t traceRefs_;
     double warmupFraction_;
-    MissBackend backend_;
-    double pruneMargin_;
     std::shared_ptr<SweepCache> store_;
     std::shared_ptr<TracePool> pool_;
-    mutable std::mutex mu_; ///< guards the five caches below
+    mutable std::mutex mu_; ///< guards the four caches below
     std::map<Benchmark, TraceBuffer> traces_;
     std::map<Benchmark, std::string> traceFiles_;
     std::map<Benchmark, std::string> traceIds_;
     std::map<std::string, HierarchyStats> results_;
-    /** (benchmark, line size, L2 ladder ways, L2 ladder policy) ->
-     *  immutable profile; unique_ptr keeps the address stable across
-     *  later insertions. */
-    std::map<std::tuple<int, std::uint32_t, std::uint32_t, int>,
-             std::unique_ptr<ReuseProfile>> profiles_;
 };
 
 } // namespace tlc

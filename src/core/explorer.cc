@@ -9,7 +9,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <limits>
 #include <optional>
 #include <span>
 #include <sstream>
@@ -33,9 +32,6 @@ struct ExploreMetrics
     MetricCounter &timingHits;
     MetricCounter &timingMisses;
     MetricCounter &sweeps;
-    MetricCounter &analyticRanked;
-    MetricCounter &analyticPruned;
-    MetricCounter &analyticSurvivors;
 
     static ExploreMetrics &get()
     {
@@ -47,12 +43,6 @@ struct ExploreMetrics
             MetricsRegistry::global().counter(
                 "explore.timing_cache.misses"),
             MetricsRegistry::global().counter("explore.sweeps"),
-            MetricsRegistry::global().counter(
-                "explore.analytic.ranked"),
-            MetricsRegistry::global().counter(
-                "explore.analytic.pruned"),
-            MetricsRegistry::global().counter(
-                "explore.analytic.survivors"),
         };
         return m;
     }
@@ -314,136 +304,6 @@ Explorer::setProgressCallback(ProgressCallback cb,
 std::vector<DesignPoint>
 Explorer::evaluateAll(Benchmark b, const std::vector<SystemConfig> &configs,
                       FailureReport *report)
-{
-    if (evaluator_.backend() == MissBackend::AnalyticPrune)
-        return evaluateAllPruned(b, configs, report);
-    return evaluateAllImpl(b, configs, report);
-}
-
-std::vector<DesignPoint>
-Explorer::evaluateAllPruned(Benchmark b,
-                            const std::vector<SystemConfig> &configs,
-                            FailureReport *report)
-{
-    std::vector<DesignPoint> out;
-    if (configs.empty())
-        return out;
-    const char *benchName = Workloads::info(b).name;
-
-    // Rank the whole space analytically — one profiling pass, no
-    // simulation. The loop is serial and in input order, so the
-    // ranking (and with it the survivor set) is deterministic
-    // whatever the worker-team width. Failures mirror the exact
-    // path exactly: an invalid configuration is recorded per point,
-    // an unobtainable trace once per benchmark, and without a report
-    // the lowest-index failure is fatal.
-    struct Rank
-    {
-        std::size_t index;
-        double area;
-        double tpi;
-    };
-    std::vector<Rank> ranked;
-    ranked.reserve(configs.size());
-    std::string benchFailure;
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        const SystemConfig &c = configs[i];
-        Status cs = c.check();
-        if (!cs.ok()) {
-            if (!report) {
-                fatal("design point %s: %s", c.label().c_str(),
-                      cs.message().c_str());
-            }
-            ExploreMetrics::get().failed.inc();
-            report->add(c.label(), cs);
-            continue;
-        }
-        Expected<HierarchyStats> est =
-            evaluator_.tryAnalyticStats(b, c);
-        if (!est.ok()) {
-            if (!report) {
-                fatal("benchmark '%s': %s", benchName,
-                      est.status().message().c_str());
-            }
-            std::string repr = est.status().toString();
-            if (repr != benchFailure) {
-                benchFailure = std::move(repr);
-                report->add(std::string("benchmark ") + benchName,
-                            est.status());
-            }
-            continue;
-        }
-        // Analytic pricing reuses the memoized timing/area models
-        // directly instead of pricePoint(), which would count these
-        // estimates in explore.points.priced — that counter means
-        // "fully priced points" and must match the exact path's.
-        const TimingResult &l1t = timingOf(
-            c.l1Bytes, c.assume.l1Assoc, c.assume.lineBytes);
-        TpiParams tp;
-        tp.l1CycleNs = l1t.cycleNs;
-        tp.l2CycleNsRaw =
-            c.hasL2() ? timingOf(c.l2Bytes, c.assume.l2Assoc,
-                                 c.assume.lineBytes)
-                            .cycleNs
-                      : 0.0;
-        tp.offchipNs = c.assume.offchipNs;
-        tp.issuePerCycle = c.assume.dualPortedL1 ? 2.0 : 1.0;
-        tp.hasL2 = c.hasL2();
-        ranked.push_back(
-            {i, areaOf(c), computeTpi(est.value(), tp).tpi});
-    }
-    ExploreMetrics::get().analyticRanked.inc(ranked.size());
-
-    // Survivor selection: walk by increasing area (ties by analytic
-    // TPI, then input index, so the order is total and stable) with
-    // the running best analytic TPI; a point more than
-    // (1 + margin) above the best achievable at its area cannot be
-    // on the envelope unless the model misranked it by more than
-    // the margin. Keeping near-best points errs on the side of
-    // simulating a few extra candidates, never on dropping a true
-    // envelope point.
-    std::vector<std::size_t> order(ranked.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b2) {
-                  if (ranked[a].area != ranked[b2].area)
-                      return ranked[a].area < ranked[b2].area;
-                  if (ranked[a].tpi != ranked[b2].tpi)
-                      return ranked[a].tpi < ranked[b2].tpi;
-                  return ranked[a].index < ranked[b2].index;
-              });
-    const double slack = 1.0 + evaluator_.pruneMargin();
-    std::vector<char> survive(configs.size(), 0);
-    double best = std::numeric_limits<double>::infinity();
-    for (std::size_t oi : order) {
-        const Rank &r = ranked[oi];
-        if (r.tpi < best)
-            best = r.tpi;
-        if (r.tpi <= best * slack)
-            survive[r.index] = 1;
-    }
-
-    std::vector<SystemConfig> survivors;
-    survivors.reserve(ranked.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        if (survive[i])
-            survivors.push_back(configs[i]);
-    }
-    ExploreMetrics::get().analyticSurvivors.inc(survivors.size());
-    ExploreMetrics::get().analyticPruned.inc(ranked.size() -
-                                             survivors.size());
-
-    // Only the survivors are simulated exactly; their points (and
-    // any late failures) flow through the standard batched path, so
-    // ordering, reporting and persistence behave as usual.
-    return evaluateAllImpl(b, survivors, report);
-}
-
-std::vector<DesignPoint>
-Explorer::evaluateAllImpl(Benchmark b,
-                          const std::vector<SystemConfig> &configs,
-                          FailureReport *report)
 {
     std::vector<DesignPoint> out;
     if (configs.empty())

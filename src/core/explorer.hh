@@ -228,22 +228,6 @@ class Explorer
      * API (the lowest-index failure is the one reported). A
      * benchmark whose trace cannot be loaded is reported once, not
      * once per configuration.
-     *
-     * With the evaluator constructed as MissBackend::AnalyticPrune,
-     * the sweep first RANKS every configuration with the analytic
-     * reuse-distance model (core/reuse_profile.hh; one profiling
-     * pass, no simulation), prunes the points whose analytic TPI is
-     * more than (1 + pruneMargin) above the best analytic TPI at
-     * equal-or-smaller area — points that cannot sit on the Pareto
-     * envelope unless the model misranked them by more than the
-     * margin — and only the survivors are simulated exactly. The
-     * returned points are the exactly-simulated survivors (in input
-     * order, a subset of the full sweep), whose envelope is
-     * byte-identical to the full exact sweep's as long as the margin
-     * covers the model's ranking error (tests/test_figures_golden.cc
-     * pins this). Ranking failures report exactly like exact-path
-     * failures; explore.analytic.{ranked,pruned,survivors} count the
-     * outcome.
      */
     std::vector<DesignPoint> evaluateAll(
         Benchmark b, const std::vector<SystemConfig> &configs,
@@ -299,13 +283,6 @@ class Explorer
                            const HierarchyStats &miss);
 
   private:
-    std::vector<DesignPoint> evaluateAllImpl(
-        Benchmark b, const std::vector<SystemConfig> &configs,
-        FailureReport *report);
-    std::vector<DesignPoint> evaluateAllPruned(
-        Benchmark b, const std::vector<SystemConfig> &configs,
-        FailureReport *report);
-
     MissRateEvaluator &evaluator_;
     AccessTimeModel timing_;
     AreaModel area_;

@@ -117,14 +117,11 @@ SweepCache::open(const std::string &path,
 
 std::string
 SweepCache::keyText(const std::string &trace_id,
-                    std::uint64_t warmup_refs, const SystemConfig &config,
-                    const std::string &backend_tag)
+                    std::uint64_t warmup_refs, const SystemConfig &config)
 {
     std::ostringstream os;
     os << "schema=" << kSweepCacheSchemaVersion << "|trace=" << trace_id
        << "|warmup=" << warmup_refs << "|" << config.missKeyString();
-    if (!backend_tag.empty())
-        os << "|backend=" << backend_tag;
     return os.str();
 }
 

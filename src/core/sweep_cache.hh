@@ -84,18 +84,12 @@ class SweepCache
     /**
      * Canonical key text of one cached point. @p trace_id comes from
      * traceIdentity(); everything else is the simulation request.
-     * @p backend_tag distinguishes results produced by a non-exact
-     * backend (e.g. "analytic1"): empty (the default, and what exact
-     * simulation uses) keeps the legacy key text byte-identical, so
-     * stores written before backends existed stay warm, while tagged
-     * entries can never alias exact ones (enforced by
-     * tests/test_batch_engine.cc's backend-mismatch test).
+     * The text is pinned byte for byte (tests/test_batch_engine.cc),
+     * since any change to it turns every existing store cold.
      */
     static std::string keyText(const std::string &trace_id,
                                std::uint64_t warmup_refs,
-                               const SystemConfig &config,
-                               const std::string &backend_tag =
-                                   std::string());
+                               const SystemConfig &config);
 
     /** The store key: "tlc<schema>-" + 16-hex FNV-1a of @p key_text. */
     static std::string hashKey(const std::string &key_text);

@@ -309,11 +309,7 @@ sweepRequestToJson(const SweepRequestSpec &spec)
     os << "  \"evaluator\": {\n"
        << "    \"trace_refs\": " << u64s(spec.traceRefs) << ",\n"
        << "    \"warmup_fraction\": "
-       << jsonNumber(spec.warmupFraction) << ",\n"
-       << "    \"backend\": "
-       << jsonQuote(missBackendName(spec.backend)) << ",\n"
-       << "    \"prune_margin\": " << jsonNumber(spec.pruneMargin)
-       << "\n  },\n";
+       << jsonNumber(spec.warmupFraction) << "\n  },\n";
     os << "  \"energy\": " << (spec.energy ? "true" : "false")
        << ",\n";
     os << "  \"threads\": " << u64s(spec.threads) << ",\n";
@@ -475,20 +471,25 @@ sweepRequestFromJson(const std::string &text)
             if (!st.ok())
                 return st;
         }
+        // "backend" and "prune_margin" are still read so request
+        // files written when miss statistics had several sources keep
+        // decoding: "exact" is the only backend left, and the margin
+        // has nothing to prune. Neither is encoded any more.
         if (const JsonValue *m = ev->find("backend")) {
             std::string s;
             st = readString(*m, "'evaluator.backend'", s);
             if (!st.ok())
                 return st;
-            if (!missBackendFromName(s, spec.backend)) {
+            if (s != "exact") {
                 return statusf(StatusCode::UnknownName,
-                               "unknown miss backend '%s'",
-                               s.c_str());
+                               "unknown miss backend '%s' (only "
+                               "\"exact\" remains)", s.c_str());
             }
         }
         if (const JsonValue *m = ev->find("prune_margin")) {
+            double unused = 0.0;
             st = readNonNegative(*m, "'evaluator.prune_margin'",
-                                 spec.pruneMargin);
+                                 unused);
             if (!st.ok())
                 return st;
         }

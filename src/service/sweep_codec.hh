@@ -36,7 +36,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/evaluator.hh"
 #include "core/explorer.hh"
 #include "core/system_config.hh"
 #include "trace/workload.hh"
@@ -75,8 +74,6 @@ struct SweepRequestSpec
     /** Evaluator knobs (see EvaluatorOptions). */
     std::uint64_t traceRefs = 0;
     double warmupFraction = 0.1;
-    MissBackend backend = MissBackend::Exact;
-    double pruneMargin = 0.02;
     /** Benchmarks routed to on-disk trace files. */
     std::map<Benchmark, std::string> traceFiles;
     /** Also price per-reference energy and the TPI-vs-energy
@@ -101,7 +98,8 @@ std::string sweepRequestToJson(const SweepRequestSpec &spec);
  *  - ParseError for malformed JSON, unknown fields (named), wrong
  *    types, out-of-range values, or configs+space both given,
  *  - UnknownName for benchmark/policy/backend names that do not
- *    exist.
+ *    exist (the legacy "evaluator.backend" field accepts only
+ *    "exact").
  */
 Expected<SweepRequestSpec> sweepRequestFromJson(const std::string &text);
 

@@ -131,8 +131,6 @@ SweepService::run(const SweepRequestSpec &spec,
     eopts.traceFiles = spec.traceFiles;
     eopts.resultStore = store_;
     eopts.tracePool = pool_;
-    eopts.backend = spec.backend;
-    eopts.pruneMargin = spec.pruneMargin;
     MissRateEvaluator ev(eopts);
     Explorer ex(ev);
 

@@ -135,7 +135,6 @@ sweepFlagsFromArgs(const ArgParser &args, std::int64_t default_refs)
     SweepFlags f;
     f.refs =
         static_cast<std::uint64_t>(args.getInt("refs", default_refs));
-    f.backend = args.getString("backend", "exact");
     f.progress = args.getBool("progress", false);
     f.traceOut = args.getString("trace-out");
     f.manifestPath = args.getString("manifest");

@@ -3,7 +3,7 @@
  * Minimal command-line argument parser for the example binaries and
  * bench drivers (--key=value / --key value / --flag), plus the
  * tlc::cli options layer the sweep drivers share: one parse of the
- * common sweep flags (refs/backend/progress/store/telemetry) and one
+ * common sweep flags (refs/progress/store/telemetry) and one
  * TelemetrySession that owns the end-of-run artifact writing the
  * drivers used to duplicate line for line.
  */
@@ -66,8 +66,8 @@ namespace cli {
 /**
  * The sweep flags every sweep driver accepts, parsed once. Values
  * are raw (strings, integers): this layer sits below core, so
- * interpretation that needs core types — backend names, store
- * opening, request decoding — happens in the driver or in
+ * interpretation that needs core types — store opening, request
+ * decoding — happens in the calling binary or in
  * service/sweep_service.hh. sweepFlagsFromArgs() enforces the
  * cross-flag rules the drivers used to duplicate (--resume requires
  * --result-store and an existing file).
@@ -75,7 +75,6 @@ namespace cli {
 struct SweepFlags
 {
     std::uint64_t refs = 0;      ///< --refs trace length
-    std::string backend;         ///< --backend (exact/analytic/...)
     bool progress = false;       ///< --progress stderr lines
     std::string traceOut;        ///< --trace-out timeline file
     std::string manifestPath;    ///< --manifest run-manifest file

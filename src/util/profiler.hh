@@ -44,7 +44,6 @@ inline constexpr const char *kTraceLoad = "trace.load";
 inline constexpr const char *kSimL1 = "sim.l1";
 inline constexpr const char *kSimL2 = "sim.l2";
 inline constexpr const char *kSimBatch = "sim.batch";
-inline constexpr const char *kAnalyticProfile = "analytic.profile";
 inline constexpr const char *kModelTiming = "model.timing";
 inline constexpr const char *kModelArea = "model.area";
 inline constexpr const char *kModelTpi = "model.tpi";

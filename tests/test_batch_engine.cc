@@ -18,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -29,6 +28,7 @@
 #include "cache/victim_cache.hh"
 #include "core/batch_engine.hh"
 #include "core/explorer.hh"
+#include "core/sweep_cache.hh"
 #include "util/parallel.hh"
 #include "util/simd.hh"
 #include "util/units.hh"
@@ -544,83 +544,19 @@ TEST(EvaluatorBatch, AllLanesFailingLeavesBatchWellFormed)
     EXPECT_TRUE(after[0].ok());
 }
 
-TEST(SweepCacheBackend, BackendTagKeepsStoreKeysDistinct)
+TEST(SweepCacheKey, KeyTextIsPinnedSoExistingStoresStayWarm)
 {
+    // Every store on disk was written under this spelling; a change
+    // to any byte of it turns all of them cold.
     SystemConfig c;
     c.l1Bytes = 4_KiB;
     c.l2Bytes = 32_KiB;
     std::string id = SweepCache::traceIdentity(Benchmark::Li, kRefs, "");
-    std::string exactKey = SweepCache::keyText(id, kWarmup, c);
-    std::string analyticKey =
-        SweepCache::keyText(id, kWarmup, c, "analytic1");
-    EXPECT_NE(exactKey, analyticKey);
-    // Exact keys keep the legacy spelling; only tagged keys grow.
-    EXPECT_EQ(analyticKey.find(exactKey), 0u);
-
-    SweepCache cache;
-    std::string path = testing::TempDir() + "/backend_tag.store";
-    std::remove(path.c_str());
-    ASSERT_TRUE(cache.open(path).ok());
-    HierarchyStats stats;
-    stats.instrRefs = 42;
-    cache.store(exactKey, stats);
-    // A store warmed by the exact backend must read as cold to the
-    // analytic key, and vice versa.
-    EXPECT_TRUE(cache.lookup(exactKey).has_value());
-    EXPECT_FALSE(cache.lookup(analyticKey).has_value());
-    cache.store(analyticKey, stats);
-    EXPECT_EQ(cache.entries(), 2u);
-    cache.close();
-    std::remove(path.c_str());
-}
-
-TEST(SweepCacheBackend, AnalyticBackendMissesExactWarmedStore)
-{
-    std::string path = testing::TempDir() + "/backend_mismatch.store";
-    std::remove(path.c_str());
-
-    SystemConfig c;
-    c.l1Bytes = 4_KiB;
-    c.l2Bytes = 32_KiB;
-
-    auto makeEvaluator = [&](MissBackend backend) {
-        auto store = std::make_shared<SweepCache>();
-        EXPECT_TRUE(store->open(path).ok());
-        EvaluatorOptions opts;
-        opts.traceRefs = kRefs;
-        opts.resultStore = store;
-        opts.backend = backend;
-        return std::make_pair(
-            std::make_unique<MissRateEvaluator>(std::move(opts)),
-            store);
-    };
-
-    // Warm the store with the exact result.
-    auto [exact, exactStore] = makeEvaluator(MissBackend::Exact);
-    ASSERT_TRUE(exact->tryMissStats(Benchmark::Li, c).ok());
-    EXPECT_EQ(exactStore->entries(), 1u);
-    exactStore->close();
-
-    // A fresh analytic evaluator over the SAME store must not be
-    // served the exact entry: its stale-key read misses and it
-    // appends its own, tagged entry.
-    auto [analytic, analyticStore] =
-        makeEvaluator(MissBackend::Analytic);
-    auto first = analytic->tryMissStats(Benchmark::Li, c);
-    ASSERT_TRUE(first.ok());
-    EXPECT_EQ(analyticStore->entries(), 2u);
-    analyticStore->close();
-
-    // A second analytic evaluator IS served the tagged entry: no
-    // third append, byte-identical stats.
-    auto [warm, warmStore] = makeEvaluator(MissBackend::Analytic);
-    auto served = warm->tryMissStats(Benchmark::Li, c);
-    ASSERT_TRUE(served.ok());
-    EXPECT_EQ(warmStore->entries(), 2u);
-    expectSameStats(served.value(), first.value());
-    warmStore->close();
-
-    std::remove(path.c_str());
+    std::string text = SweepCache::keyText(id, kWarmup, c);
+    EXPECT_EQ(text, "schema=1|trace=synthetic:li:refs=20000:variant=0|"
+                    "warmup=2000|l1=4096;l2=32768;line=16;l1assoc=1;"
+                    "l2assoc=4;policy=inclusive;l2repl=random");
+    EXPECT_EQ(SweepCache::hashKey(text), "tlc1-e6373e21f8e5e68a");
 }
 
 TEST(SweepRequestApi, MatchesPerBenchmarkEvaluateAll)

@@ -26,7 +26,6 @@
 
 #include "core/explorer.hh"
 #include "core/figures.hh"
-#include "util/metrics.hh"
 
 using namespace tlc;
 
@@ -138,116 +137,7 @@ checkGolden(const std::string &figure_id, Benchmark b, bool two_level,
     }
 }
 
-/** One fig05-style sweep of @p b under @p backend, at a chosen
- *  worker-team width; returns the priced points, input-ordered. */
-std::vector<DesignPoint>
-sweepWith(MissBackend backend, Benchmark b, unsigned threads)
-{
-    const FigureSpec &spec = figureById("fig05");
-    EvaluatorOptions opts;
-    opts.traceRefs = kGoldenRefs;
-    opts.backend = backend;
-    MissRateEvaluator ev(opts);
-    Explorer ex(ev);
-    SweepRequest req;
-    req.configs = DesignSpace::enumerate(spec.assume);
-    req.benchmarks = {b};
-    req.threads = threads;
-    auto sweeps = ex.evaluateAll(req);
-    return sweeps.empty() ? std::vector<DesignPoint>{}
-                          : sweeps.front().points;
-}
-
-Envelope
-envelopeOfPoints(const std::vector<DesignPoint> &points)
-{
-    return Explorer::envelopeOf(points);
-}
-
-/** BIT-FOR-BIT envelope equality: labels and exact double compares,
- *  no tolerance — the pruned backend's contract is byte-identical
- *  output, not nearby output. */
-void
-expectEnvelopesIdentical(const Envelope &a, const Envelope &b)
-{
-    ASSERT_EQ(a.points().size(), b.points().size());
-    for (std::size_t i = 0; i < a.points().size(); ++i) {
-        SCOPED_TRACE("envelope row " + std::to_string(i));
-        EXPECT_EQ(a.points()[i].label, b.points()[i].label);
-        EXPECT_EQ(a.points()[i].area, b.points()[i].area);
-        EXPECT_EQ(a.points()[i].tpi, b.points()[i].tpi);
-    }
-}
-
 } // namespace
-
-TEST(GoldenFigures, AnalyticPruneReproducesExactEnvelopeBitForBit)
-{
-    MetricCounter &prunedCtr =
-        MetricsRegistry::global().counter("explore.analytic.pruned");
-    MetricCounter &survivorsCtr =
-        MetricsRegistry::global().counter(
-            "explore.analytic.survivors");
-    std::uint64_t prunedBefore = prunedCtr.value();
-    std::uint64_t survivorsBefore = survivorsCtr.value();
-
-    auto exact = sweepWith(MissBackend::Exact, Benchmark::Gcc1, 1);
-    auto pruned =
-        sweepWith(MissBackend::AnalyticPrune, Benchmark::Gcc1, 1);
-    ASSERT_FALSE(exact.empty());
-    ASSERT_FALSE(pruned.empty());
-
-    // The pruning must really have skipped simulations, not
-    // degenerated into an exact sweep with extra steps...
-    std::uint64_t survived = survivorsCtr.value() - survivorsBefore;
-    EXPECT_GT(prunedCtr.value() - prunedBefore, 0u);
-    EXPECT_LT(survived, exact.size());
-    EXPECT_EQ(pruned.size(), survived);
-
-    // ...while reproducing the exact envelope bit for bit. Every
-    // surviving point is also bit-identical to its exact twin — the
-    // survivors were simulated, not estimated.
-    expectEnvelopesIdentical(envelopeOfPoints(pruned),
-                             envelopeOfPoints(exact));
-    for (const auto &p : pruned) {
-        const DesignPoint *twin = nullptr;
-        for (const auto &e : exact) {
-            if (e.config.label() == p.config.label())
-                twin = &e;
-        }
-        ASSERT_NE(twin, nullptr) << p.config.label();
-        EXPECT_EQ(p.tpi.tpi, twin->tpi.tpi) << p.config.label();
-        EXPECT_EQ(p.areaRbe, twin->areaRbe) << p.config.label();
-        EXPECT_EQ(p.miss.l2Misses, twin->miss.l2Misses)
-            << p.config.label();
-    }
-}
-
-TEST(GoldenFigures, AnalyticPruneIsDeterministicAcrossRunsAndThreads)
-{
-    auto first =
-        sweepWith(MissBackend::AnalyticPrune, Benchmark::Espresso, 1);
-    auto second =
-        sweepWith(MissBackend::AnalyticPrune, Benchmark::Espresso, 1);
-    auto threaded =
-        sweepWith(MissBackend::AnalyticPrune, Benchmark::Espresso, 4);
-    ASSERT_FALSE(first.empty());
-
-    for (const auto *other : {&second, &threaded}) {
-        ASSERT_EQ(first.size(), other->size());
-        for (std::size_t i = 0; i < first.size(); ++i) {
-            SCOPED_TRACE("point " + std::to_string(i));
-            EXPECT_EQ(first[i].config.label(),
-                      (*other)[i].config.label());
-            EXPECT_EQ(first[i].areaRbe, (*other)[i].areaRbe);
-            EXPECT_EQ(first[i].tpi.tpi, (*other)[i].tpi.tpi);
-            EXPECT_EQ(first[i].miss.l1iMisses,
-                      (*other)[i].miss.l1iMisses);
-            EXPECT_EQ(first[i].miss.l2Misses,
-                      (*other)[i].miss.l2Misses);
-        }
-    }
-}
 
 TEST(GoldenFigures, Fig03SingleLevelEspressoEnvelope)
 {

@@ -82,8 +82,6 @@ directResponse(const SweepRequestSpec &spec)
     eopts.traceRefs = spec.traceRefs;
     eopts.warmupFraction = spec.warmupFraction;
     eopts.traceFiles = spec.traceFiles;
-    eopts.backend = spec.backend;
-    eopts.pruneMargin = spec.pruneMargin;
     MissRateEvaluator ev(eopts);
     Explorer ex(ev);
     SweepRequest req;
@@ -209,7 +207,6 @@ TEST(SweepCodec, RoundTripEnumeratedSpaceAndTraceFiles)
     spec.benchmarks = {Benchmark::Gcc1, Benchmark::Espresso};
     spec.spaceTwoLevel = false;
     spec.traceRefs = 1234;
-    spec.backend = MissBackend::Analytic;
     spec.traceFiles[Benchmark::Gcc1] = "/tmp/gcc1.trc";
     std::string text = sweepRequestToJson(spec);
 
@@ -218,11 +215,30 @@ TEST(SweepCodec, RoundTripEnumeratedSpaceAndTraceFiles)
     EXPECT_EQ(sweepRequestToJson(back.value()), text);
     EXPECT_FALSE(back.value().explicitConfigs);
     EXPECT_FALSE(back.value().spaceTwoLevel);
-    EXPECT_EQ(back.value().backend, MissBackend::Analytic);
     EXPECT_EQ(back.value().traceFiles.at(Benchmark::Gcc1),
               "/tmp/gcc1.trc");
     // The enumerated space materializes to the paper's design space.
     EXPECT_FALSE(back.value().materializeConfigs().empty());
+}
+
+TEST(SweepCodec, LegacyBackendFieldsStillDecode)
+{
+    // Request files written when "evaluator" also named a miss
+    // backend keep working, and re-encode to today's canonical form.
+    std::string text = sweepRequestToJson(smallSpec());
+    std::string legacy =
+        corrupt(text, "\"trace_refs\"",
+                "\"backend\": \"exact\", \"prune_margin\": 0.02, "
+                "\"trace_refs\"");
+    Expected<SweepRequestSpec> back = sweepRequestFromJson(legacy);
+    ASSERT_TRUE(back.ok()) << back.status().toString();
+    EXPECT_EQ(sweepRequestToJson(back.value()), text);
+    EXPECT_EQ(text.find("backend"), std::string::npos);
+
+    EXPECT_EQ(decodeError(corrupt(text, "\"trace_refs\"",
+                                  "\"prune_margin\": -1, "
+                                  "\"trace_refs\"")),
+              StatusCode::ParseError);
 }
 
 TEST(SweepCodec, SchemaTagIsPinned)
@@ -266,8 +282,9 @@ TEST(SweepCodec, RejectsBadValues)
     EXPECT_EQ(decodeError(corrupt(text, "\"inclusive\"",
                                   "\"sideways\"")),
               StatusCode::UnknownName);
-    EXPECT_EQ(decodeError(corrupt(text, "\"backend\": \"exact\"",
-                                  "\"backend\": \"psychic\"")),
+    EXPECT_EQ(decodeError(corrupt(text, "\"trace_refs\"",
+                                  "\"backend\": \"analytic\", "
+                                  "\"trace_refs\"")),
               StatusCode::UnknownName);
     EXPECT_EQ(decodeError(corrupt(text, "\"threads\": 0",
                                   "\"threads\": 9999")),

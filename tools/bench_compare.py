@@ -49,12 +49,8 @@ RATIO_KEYS = ("speedup", "warm_speedup", "strict_speedup",
               "speedup_vs_prior_batched")
 # Fields that must match the baseline exactly no matter what their
 # type or name suffix suggests: the supervisor recovery drill's
-# outcome counts and the analytic-prune sweep's point accounting are
-# correctness claims, not performance numbers. In particular
-# "prune_rate" would otherwise be loosened into a one-sided ratio by
-# its suffix, but it is pruned_points/design_points — a deterministic
-# consequence of the analytic ranking that must never drift without
-# a baseline update.
+# outcome counts and the sweeps' point accounting are correctness
+# claims, not performance numbers.
 EXACT_KEYS = (
     "quarantined_points",
     "worker_launches",
@@ -65,10 +61,6 @@ EXACT_KEYS = (
     "points_priced",
     "healthy_points_identical",
     "design_points",
-    "exact_simulated",
-    "pruned_points",
-    "prune_rate",
-    "envelopes_identical",
     # The cross-process telemetry snapshot: supervised shard/frame
     # accounting and the rollup-parity verdict are correctness
     # claims ("every worker counter streamed back and merged once"),

@@ -411,17 +411,6 @@ EOF
         "$batch_json"
     rm -f "$batch_json"
 
-    # The analytic backend's accuracy contract, re-proven on the
-    # smoke machine: the differential suite pins the analytic
-    # reuse-distance model bit-exact against the simulator on the
-    # paper's reference space and within per-workload error bounds
-    # off it, and exercises the corrupt-corpus fail-soft parity
-    # (same tlc::Status codes and FailureReport entries from either
-    # backend). See docs/analytic_model.md for the bounds.
-    echo "== smoke-running analytic differential bounds =="
-    build/tests/test_analytic \
-        --gtest_filter='AnalyticDifferential.*' > /dev/null
-
     # The benchmark regression gate: regenerate the five checked-in
     # BENCH_*.json documents at their reference settings and compare
     # against the committed baselines. Counts must match exactly
@@ -440,8 +429,6 @@ EOF
         > "$gate_dir/observability.json"
     TLC_THREADS=1 build/bench/bench_supervisor_recovery \
         > "$gate_dir/recovery.json" 2>/dev/null
-    TLC_THREADS=1 build/bench/bench_analytic_sweep \
-        > "$gate_dir/analytic.json"
     TLC_THREADS=1 build/bench/bench_service_throughput \
         > "$gate_dir/service.json" 2>/dev/null
     python3 tools/bench_compare.py BENCH_sweep.json \
@@ -452,16 +439,13 @@ EOF
         "$gate_dir/observability.json"
     python3 tools/bench_compare.py BENCH_recovery.json \
         "$gate_dir/recovery.json"
-    python3 tools/bench_compare.py BENCH_analytic.json \
-        "$gate_dir/analytic.json"
     python3 tools/bench_compare.py BENCH_service.json \
         "$gate_dir/service.json"
     if [ -n "$artifacts" ]; then
         # Keep the regenerated documents under their committed names
         # so a CI artifact download drops straight onto the repo when
         # a baseline update is intentional.
-        for doc in sweep batch observability recovery analytic \
-                   service; do
+        for doc in sweep batch observability recovery service; do
             cp "$gate_dir/$doc.json" "$artifacts/BENCH_$doc.json"
         done
     fi

@@ -14,7 +14,6 @@
  * Request-building flags (used when --request is absent):
  *   --bench=a,b,c   benchmarks to sweep (default gcc1)
  *   --refs=N        trace length (0 = default)
- *   --backend=NAME  exact | analytic | analytic-prune
  *   --offchip=NS    off-chip service time
  *   --l2-assoc=N    L2 ways
  *   --policy=NAME   inclusive | strict-inclusive | exclusive
@@ -63,10 +62,6 @@ specFromFlags(const ArgParser &args)
 
     spec.traceRefs =
         static_cast<std::uint64_t>(args.getInt("refs", 0));
-    std::string backend = args.getString("backend", "exact");
-    if (!missBackendFromName(backend, spec.backend))
-        fatal("--backend=%s: unknown backend (exact, analytic, "
-              "analytic-prune)", backend.c_str());
     spec.assume.offchipNs = args.getDouble("offchip", 50.0);
     spec.assume.l2Assoc =
         static_cast<std::uint32_t>(args.getInt("l2-assoc", 4));
