@@ -116,10 +116,6 @@ main(int argc, char **argv)
         sopts.evaluator = evopts;
         sopts.evaluator.resultStore.reset();
         sopts.resultStorePath = flags.resultStore;
-        if (progress) {
-            sopts.progress =
-                stderrProgressPrinter(Workloads::info(bench).name);
-        }
     }
 
     std::printf("workload: %s    area budget: %.0f rbe    off-chip: "
@@ -159,8 +155,9 @@ main(int argc, char **argv)
         a.policy = sc.policy;
         std::vector<DesignPoint> points;
         if (isolate) {
-            SupervisedSweep sw = supervisedSweepSpace(
-                ex, bench, a, true, sc.two_level, &report, sopts);
+            SupervisedSweep sw = supervisedEvaluateAll(
+                ex, bench, DesignSpace::enumerate(a, true, sc.two_level),
+                &report, sopts);
             supStats.accumulate(sw.stats);
             supTimeline.insert(
                 supTimeline.end(),

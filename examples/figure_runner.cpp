@@ -112,13 +112,9 @@ runScatter(const FigureSpec &f, std::uint64_t refs, bool csv,
     auto sweepSpace = [&](Benchmark b, bool two_level) {
         if (!sopts)
             return ex.sweep(b, f.assume, true, two_level);
-        SupervisorOptions so = *sopts;
-        if (progress) {
-            so.progress = stderrProgressPrinter(
-                f.id + " " + Workloads::info(b).name);
-        }
-        SupervisedSweep sw = supervisedSweepSpace(
-            ex, b, f.assume, true, two_level, &report, so);
+        SupervisedSweep sw = supervisedEvaluateAll(
+            ex, b, DesignSpace::enumerate(f.assume, true, two_level),
+            &report, *sopts);
         sup_stats->accumulate(sw.stats);
         sup_timeline->insert(
             sup_timeline->end(),

@@ -6,10 +6,8 @@
 #include "explorer.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <optional>
 #include <span>
 #include <sstream>
 
@@ -315,7 +313,7 @@ Explorer::evaluateAll(Benchmark b, const std::vector<SystemConfig> &configs,
     // is skipped — a fully warm sweep must not load or generate the
     // trace at all — and the same trace failure, should it surface
     // from the lanes that do simulate, is collapsed to one report
-    // entry in the collection loop below.
+    // entry by the collector.
     if (!evaluator_.hasResultStore()) {
         Expected<const TraceBuffer *> t = evaluator_.tryTrace(b);
         if (!t.ok()) {
@@ -330,56 +328,13 @@ Explorer::evaluateAll(Benchmark b, const std::vector<SystemConfig> &configs,
         }
     }
 
-    ExploreMetrics::get().sweeps.inc();
+    SweepCollector collector(*this, b, configs, report);
 
-    // Observability plumbing, all inert unless switched on: the
-    // trace-event recorder adds one slice per simulation batch plus
-    // one per design point on the pricing worker's track, and the
-    // progress callback fires on a throttle as points complete.
-    // Neither affects results — the output/report ordering below
-    // stays byte-identical to serial.
+    // The trace-event recorder, inert unless switched on, adds one
+    // slice per simulation batch plus one per design point on the
+    // pricing worker's track; it cannot affect results.
     TraceEventRecorder *recorder = TraceEventRecorder::active();
     const char *benchName = Workloads::info(b).name;
-    using ProgressClock = std::chrono::steady_clock;
-    ProgressClock::time_point sweepStart = ProgressClock::now();
-    std::atomic<std::size_t> done{0};
-    std::atomic<std::size_t> failedSoFar{0};
-    std::atomic<std::int64_t> lastFireUs{-1};
-    const std::int64_t intervalUs = static_cast<std::int64_t>(
-        progressIntervalSeconds_ * 1e6);
-
-    auto fireProgress = [&](std::size_t done_now, bool final) {
-        if (!progress_)
-            return;
-        std::int64_t nowUs =
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                ProgressClock::now() - sweepStart)
-                .count();
-        if (!final) {
-            // One worker wins the CAS per throttle window; the rest
-            // skip. The final update never skips, so a consumer
-            // always sees done == total.
-            std::int64_t last =
-                lastFireUs.load(std::memory_order_relaxed);
-            if (last >= 0 && nowUs - last < intervalUs)
-                return;
-            if (!lastFireUs.compare_exchange_strong(
-                    last, nowUs, std::memory_order_relaxed)) {
-                return;
-            }
-        }
-        SweepProgress sp;
-        sp.done = done_now;
-        sp.total = configs.size();
-        sp.failed = failedSoFar.load(std::memory_order_relaxed);
-        sp.elapsedSeconds = static_cast<double>(nowUs) * 1e-6;
-        sp.etaSeconds =
-            done_now ? sp.elapsedSeconds *
-                           static_cast<double>(sp.total - done_now) /
-                           static_cast<double>(done_now)
-                     : 0.0;
-        progress_(sp);
-    };
 
     // Benchmark-major batching: the configuration list is split into
     // contiguous batches, each batch's memo-missing configs simulate
@@ -388,16 +343,15 @@ Explorer::evaluateAll(Benchmark b, const std::vector<SystemConfig> &configs,
     // carries its own tag state and replacement RNG stream, exactly
     // as a standalone Hierarchy would — so the sweep stays
     // byte-identical to the point-major path whatever the worker
-    // count. Each index writes only its own slots; collecting
-    // results and failures after the join, in input-index order,
-    // keeps the output deterministic.
+    // count. Each index writes only its own slot; the collector
+    // gathers results and failures after the join, in input-index
+    // order, which keeps the output deterministic.
     const std::size_t n = configs.size();
     std::size_t batchSize = (n + parallelWorkerCount() - 1) /
                             parallelWorkerCount();
     batchSize = std::clamp<std::size_t>(batchSize, 1, kMaxBatchConfigs);
     const std::size_t numBatches = (n + batchSize - 1) / batchSize;
 
-    std::vector<std::optional<Expected<DesignPoint>>> slots(n);
     parallelFor(numBatches, [&](std::size_t bi) {
         const std::size_t lo = bi * batchSize;
         const std::size_t hi = std::min(lo + batchSize, n);
@@ -420,13 +374,11 @@ Explorer::evaluateAll(Benchmark b, const std::vector<SystemConfig> &configs,
             auto begin = recorder
                              ? TraceEventRecorder::Clock::now()
                              : TraceEventRecorder::Clock::time_point{};
-            if (miss[i - lo].ok()) {
-                slots[i].emplace(
-                    pricePoint(configs[i], miss[i - lo].value()));
-            } else {
-                slots[i].emplace(
-                    Expected<DesignPoint>(miss[i - lo].status()));
-            }
+            Expected<DesignPoint> p =
+                miss[i - lo].ok()
+                    ? Expected<DesignPoint>(
+                          pricePoint(configs[i], miss[i - lo].value()))
+                    : Expected<DesignPoint>(miss[i - lo].status());
             if (recorder) {
                 recorder->complete(
                     configs[i].label(), "design-point", begin,
@@ -434,44 +386,10 @@ Explorer::evaluateAll(Benchmark b, const std::vector<SystemConfig> &configs,
                     std::string("{\"benchmark\": \"") + benchName +
                         "\", \"index\": " + std::to_string(i) + "}");
             }
-            if (!slots[i]->ok())
-                failedSoFar.fetch_add(1, std::memory_order_relaxed);
-            std::size_t d =
-                done.fetch_add(1, std::memory_order_relaxed) + 1;
-            fireProgress(d, /*final=*/false);
+            collector.record(i, std::move(p));
         }
     });
-    fireProgress(n, /*final=*/true);
-
-    out.reserve(n);
-    // With the preflight skipped (result store attached), a trace
-    // that turns out to be unloadable fails every simulated point
-    // with the same non-config status; collapse those to a single
-    // "benchmark <name>" entry so the report matches the preflight
-    // path's shape.
-    std::string benchFailure;
-    for (std::size_t i = 0; i < n; ++i) {
-        Expected<DesignPoint> &p = *slots[i];
-        if (p.ok()) {
-            out.push_back(std::move(p.value()));
-        } else if (report) {
-            if (p.status().code() != StatusCode::InvalidConfig) {
-                std::string repr = p.status().toString();
-                if (repr != benchFailure) {
-                    benchFailure = std::move(repr);
-                    report->add(std::string("benchmark ") + benchName,
-                                p.status());
-                }
-                continue;
-            }
-            ExploreMetrics::get().failed.inc();
-            report->add(configs[i].label(), p.status());
-        } else {
-            fatal("design point %s: %s", configs[i].label().c_str(),
-                  p.status().message().c_str());
-        }
-    }
-    return out;
+    return collector.finish();
 }
 
 std::vector<BenchmarkSweep>
@@ -543,6 +461,111 @@ Explorer::envelopeOf(const std::vector<DesignPoint> &points)
     for (const auto &p : points)
         eps.push_back(p.toEnvelopePoint());
     return Envelope::of(std::move(eps));
+}
+
+// ---------------------------------------------------------------------
+// SweepCollector
+// ---------------------------------------------------------------------
+
+SweepCollector::SweepCollector(Explorer &ex, Benchmark b,
+                               const std::vector<SystemConfig> &configs,
+                               FailureReport *report)
+    : ex_(ex), bench_(b), configs_(configs), report_(report),
+      slots_(configs.size()), start_(std::chrono::steady_clock::now())
+{
+    ExploreMetrics::get().sweeps.inc();
+}
+
+void
+SweepCollector::record(std::size_t i, Expected<DesignPoint> point)
+{
+    tlc_assert(!slots_[i].has_value(), "sweep index %zu recorded twice",
+               i);
+    if (!point.ok())
+        failed_.fetch_add(1, std::memory_order_relaxed);
+    slots_[i].emplace(std::move(point));
+    fireProgress(done_.fetch_add(1, std::memory_order_relaxed) + 1,
+                 /*final=*/false);
+}
+
+void
+SweepCollector::fireProgress(std::size_t done_now, bool final)
+{
+    if (!ex_.progress_)
+        return;
+    const std::int64_t nowUs =
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - start_)
+            .count();
+    if (!final) {
+        // One caller wins the CAS per throttle window; the rest skip.
+        // The final update never skips, so a consumer always sees
+        // done == total.
+        const std::int64_t intervalUs = static_cast<std::int64_t>(
+            ex_.progressIntervalSeconds_ * 1e6);
+        std::int64_t last = lastFireUs_.load(std::memory_order_relaxed);
+        if (last >= 0 && nowUs - last < intervalUs)
+            return;
+        if (!lastFireUs_.compare_exchange_strong(
+                last, nowUs, std::memory_order_relaxed)) {
+            return;
+        }
+    }
+    SweepProgress sp;
+    sp.done = done_now;
+    sp.total = configs_.size();
+    sp.failed = failed_.load(std::memory_order_relaxed);
+    sp.elapsedSeconds = static_cast<double>(nowUs) * 1e-6;
+    sp.etaSeconds = done_now ? sp.elapsedSeconds *
+                                   static_cast<double>(sp.total - done_now) /
+                                   static_cast<double>(done_now)
+                             : 0.0;
+    ex_.progress_(sp);
+}
+
+std::vector<DesignPoint>
+SweepCollector::finish()
+{
+    const std::size_t n = configs_.size();
+    fireProgress(n, /*final=*/true);
+
+    const char *benchName = Workloads::info(bench_).name;
+    std::vector<DesignPoint> out;
+    out.reserve(n);
+    // With the preflight skipped (result store attached) or the
+    // trace loaded in worker processes, a trace that turns out to be
+    // unloadable fails every simulated point with the same non-point
+    // status; collapse those to a single "benchmark <name>" entry so
+    // the report matches the preflight path's shape.
+    std::string benchFailure;
+    for (std::size_t i = 0; i < n; ++i) {
+        tlc_assert(slots_[i].has_value(),
+                   "sweep left index %zu unresolved", i);
+        Expected<DesignPoint> &p = *slots_[i];
+        if (p.ok()) {
+            out.push_back(std::move(p.value()));
+            continue;
+        }
+        if (!report_) {
+            fatal("design point %s: %s", configs_[i].label().c_str(),
+                  p.status().message().c_str());
+        }
+        const StatusCode code = p.status().code();
+        if (code == StatusCode::InvalidConfig ||
+            code == StatusCode::WorkerCrash ||
+            code == StatusCode::WorkerTimeout) {
+            ExploreMetrics::get().failed.inc();
+            report_->add(configs_[i].label(), p.status());
+            continue;
+        }
+        std::string repr = p.status().toString();
+        if (repr != benchFailure) {
+            benchFailure = std::move(repr);
+            report_->add(std::string("benchmark ") + benchName,
+                         p.status());
+        }
+    }
+    return out;
 }
 
 } // namespace tlc

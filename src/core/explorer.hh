@@ -28,9 +28,12 @@
 #ifndef TLC_CORE_EXPLORER_HH
 #define TLC_CORE_EXPLORER_HH
 
+#include <atomic>
+#include <chrono>
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <tuple>
 #include <vector>
 
@@ -283,6 +286,8 @@ class Explorer
                            const HierarchyStats &miss);
 
   private:
+    friend class SweepCollector;
+
     MissRateEvaluator &evaluator_;
     AccessTimeModel timing_;
     AreaModel area_;
@@ -290,6 +295,59 @@ class Explorer
     std::map<TimingKey, TimingResult> timingCache_;
     ProgressCallback progress_;
     double progressIntervalSeconds_ = 0.25;
+};
+
+/**
+ * The tail every sweep executor shares, one per benchmark sweep: the
+ * per-index result slots, the progress throttle, and the rule that
+ * turns slots into points plus FailureReport entries. evaluateAll
+ * fills it from the worker team; the process-isolated supervisor
+ * (core/shard_runner.hh) fills it from worker result frames and
+ * quarantine decisions. Constructing one counts a sweep
+ * (explore.sweeps).
+ */
+class SweepCollector
+{
+  public:
+    /** @p configs and @p report must outlive the collector. */
+    SweepCollector(Explorer &ex, Benchmark b,
+                   const std::vector<SystemConfig> &configs,
+                   FailureReport *report);
+
+    /** Whether index @p i has been recorded. */
+    bool has(std::size_t i) const { return slots_[i].has_value(); }
+
+    /**
+     * Fill slot @p i (once) and fire the explorer's progress
+     * callback, throttled to its interval. Distinct indices may be
+     * recorded from several threads at once.
+     */
+    void record(std::size_t i, Expected<DesignPoint> point);
+
+    /**
+     * Fire the final (done == total) progress update, then collect
+     * in input-index order. Ok points are returned. Per-point
+     * failures (InvalidConfig, and a quarantined point's
+     * WorkerCrash/WorkerTimeout) go to the report under the config
+     * label and tick explore.points.failed. Any other status is a
+     * benchmark-wide failure (an unloadable trace); repeats of it
+     * collapse into one "benchmark <name>" entry. Without a report,
+     * the first failure is fatal.
+     */
+    std::vector<DesignPoint> finish();
+
+  private:
+    void fireProgress(std::size_t done_now, bool final);
+
+    Explorer &ex_;
+    Benchmark bench_;
+    const std::vector<SystemConfig> &configs_;
+    FailureReport *report_;
+    std::vector<std::optional<Expected<DesignPoint>>> slots_;
+    std::chrono::steady_clock::time_point start_;
+    std::atomic<std::size_t> done_{0};
+    std::atomic<std::size_t> failed_{0};
+    std::atomic<std::int64_t> lastFireUs_{-1};
 };
 
 } // namespace tlc

@@ -1,9 +1,9 @@
 /**
  * @file
  * Shard-runner implementation: the worker-side simulate-and-report
- * loop, the parent-side retry/bisect/quarantine state machine, and
- * the collection pass that keeps supervised output byte-identical to
- * Explorer::evaluateAll.
+ * loop and the parent-side retry/bisect/quarantine state machine,
+ * which feeds the same SweepCollector as Explorer::evaluateAll so
+ * supervised output stays byte-identical to it.
  */
 
 #include "shard_runner.hh"
@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -22,13 +23,13 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include "trace/workload.hh"
 #include "util/flight_recorder.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
 #include "util/profiler.hh"
 #include "util/trace_event.hh"
+#include "util/wire.hh"
 
 namespace tlc {
 
@@ -80,7 +81,7 @@ std::atomic<std::uint32_t> gWorkerSerial{0};
 // Wire format (payloads of util/supervisor.hh frames)
 //
 // Result frame: u8 tag=1, u32le global config index, u8 ok;
-//   ok   -> the eight HierarchyStats fields, u64le, declaration order
+//   ok   -> encodeHierarchyStats() (core/sweep_cache.hh)
 //   fail -> u32le StatusCode, u32le message length, message bytes
 // Done frame:   u8 tag=2, u32le result-frame count
 //
@@ -108,38 +109,6 @@ constexpr std::uint8_t kTagFlight = 6;
 
 constexpr std::size_t kEventsPerFrame = 256;
 
-void
-putU32le(std::string &s, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        s.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void
-putU64le(std::string &s, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        s.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-std::uint32_t
-getU32le(const unsigned char *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-std::uint64_t
-getU64le(const unsigned char *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
 std::string
 encodeResult(std::uint32_t index, const Expected<HierarchyStats> &r)
 {
@@ -148,20 +117,10 @@ encodeResult(std::uint32_t index, const Expected<HierarchyStats> &r)
     putU32le(out, index);
     out.push_back(static_cast<char>(r.ok() ? 1 : 0));
     if (r.ok()) {
-        const HierarchyStats &s = r.value();
-        putU64le(out, s.instrRefs);
-        putU64le(out, s.dataRefs);
-        putU64le(out, s.l1iMisses);
-        putU64le(out, s.l1dMisses);
-        putU64le(out, s.l2Hits);
-        putU64le(out, s.l2Misses);
-        putU64le(out, s.swaps);
-        putU64le(out, s.offchipWritebacks);
+        encodeHierarchyStats(out, r.value());
     } else {
         putU32le(out, static_cast<std::uint32_t>(r.status().code()));
-        const std::string &msg = r.status().message();
-        putU32le(out, static_cast<std::uint32_t>(msg.size()));
-        out.append(msg);
+        putString(out, r.status().message());
     }
     return out;
 }
@@ -196,85 +155,25 @@ clampStatusCode(std::uint32_t raw)
 bool
 decodeResult(std::string_view payload, WireResult &out)
 {
-    const auto *p =
-        reinterpret_cast<const unsigned char *>(payload.data());
-    if (payload.size() < 1 + 4 + 1 || p[0] != kTagResult)
+    WireReader r{payload, 1};
+    if (payload.empty() ||
+        static_cast<std::uint8_t>(payload[0]) != kTagResult ||
+        !r.u32(out.index) || r.done())
         return false;
-    out.index = getU32le(p + 1);
-    const bool ok = p[5] != 0;
-    if (ok) {
-        if (payload.size() != 1 + 4 + 1 + 8 * 8)
-            return false;
+    if (payload[r.off++] != 0) {
         HierarchyStats s;
-        const unsigned char *q = p + 6;
-        s.instrRefs = getU64le(q + 0 * 8);
-        s.dataRefs = getU64le(q + 1 * 8);
-        s.l1iMisses = getU64le(q + 2 * 8);
-        s.l1dMisses = getU64le(q + 3 * 8);
-        s.l2Hits = getU64le(q + 4 * 8);
-        s.l2Misses = getU64le(q + 5 * 8);
-        s.swaps = getU64le(q + 6 * 8);
-        s.offchipWritebacks = getU64le(q + 7 * 8);
+        if (!decodeHierarchyStats(payload.substr(r.off), s))
+            return false;
         out.result.emplace(s);
         return true;
     }
-    if (payload.size() < 1 + 4 + 1 + 4 + 4)
+    std::uint32_t code = 0;
+    std::string msg;
+    if (!r.u32(code) || !r.str(msg) || !r.done())
         return false;
-    const StatusCode code = clampStatusCode(getU32le(p + 6));
-    const std::uint32_t msgLen = getU32le(p + 10);
-    if (payload.size() != 1 + 4 + 1 + 4 + 4 +
-                              static_cast<std::size_t>(msgLen))
-        return false;
-    out.result.emplace(Status(
-        code, std::string(payload.substr(1 + 4 + 1 + 4 + 4, msgLen))));
+    out.result.emplace(Status(clampStatusCode(code), std::move(msg)));
     return true;
 }
-
-void
-putString(std::string &s, std::string_view v)
-{
-    putU32le(s, static_cast<std::uint32_t>(v.size()));
-    s.append(v);
-}
-
-/** Cursor-based readers shared by the telemetry decoders; each
- *  returns false instead of reading past the payload. */
-struct WireReader
-{
-    std::string_view payload;
-    std::size_t off = 0;
-
-    bool u32(std::uint32_t &v)
-    {
-        if (payload.size() - off < 4)
-            return false;
-        v = getU32le(reinterpret_cast<const unsigned char *>(
-                         payload.data()) +
-                     off);
-        off += 4;
-        return true;
-    }
-    bool u64(std::uint64_t &v)
-    {
-        if (payload.size() - off < 8)
-            return false;
-        v = getU64le(reinterpret_cast<const unsigned char *>(
-                         payload.data()) +
-                     off);
-        off += 8;
-        return true;
-    }
-    bool str(std::string &v)
-    {
-        std::uint32_t len = 0;
-        if (!u32(len) || payload.size() - off < len)
-            return false;
-        v.assign(payload.data() + off, len);
-        off += len;
-        return true;
-    }
-    bool done() const { return off == payload.size(); }
-};
 
 /** The worker's metrics-registry snapshot as one frame payload.
  *  Values are absolute, but the worker reset its inherited registry
@@ -603,18 +502,20 @@ runShardWorker(int write_fd, Benchmark b,
 
 /**
  * The retry/bisect/quarantine state machine of one supervised sweep.
- * Owns the per-index result slots and quarantine statuses; shards
- * run strictly sequentially (one result-store writer at a time, and
- * the simulation is the bottleneck, not the supervision).
+ * Each worker result is priced as its frame arrives and recorded in
+ * the sweep's collector, as is each quarantined point's status;
+ * shards run strictly sequentially (one result-store writer at a
+ * time, and the simulation is the bottleneck, not the supervision).
  */
 class ShardSupervisor
 {
   public:
-    ShardSupervisor(Benchmark b,
+    ShardSupervisor(Explorer &ex, Benchmark b,
                     const std::vector<SystemConfig> &configs,
-                    const SupervisorOptions &opts)
-        : bench_(b), configs_(configs), opts_(opts),
-          slots_(configs.size()), quarantine_(configs.size()),
+                    const SupervisorOptions &opts,
+                    SweepCollector &collector)
+        : ex_(ex), bench_(b), configs_(configs), opts_(opts),
+          collector_(collector),
           faultFired_(opts.faults.faults.size(), 0),
           start_(std::chrono::steady_clock::now())
     {
@@ -638,14 +539,6 @@ class ShardSupervisor
 
     SupervisionStats &stats() { return stats_; }
     std::vector<ShardTimeline> &timeline() { return timeline_; }
-    std::optional<Expected<HierarchyStats>> &slot(std::size_t i)
-    {
-        return slots_[i];
-    }
-    std::optional<Status> &quarantine(std::size_t i)
-    {
-        return quarantine_[i];
-    }
 
   private:
     /** The armed fault of @p shard, if any (None kind otherwise). */
@@ -717,13 +610,19 @@ class ShardSupervisor
             case kTagResult: {
                 WireResult wr;
                 if (!decodeResult(payload, wr) ||
-                    wr.index >= slots_.size()) {
+                    wr.index >= configs_.size()) {
                     badFrame = true;
                     return;
                 }
-                slots_[wr.index] = std::move(*wr.result);
+                if (!collector_.has(wr.index)) {
+                    const Expected<HierarchyStats> &r = *wr.result;
+                    collector_.record(
+                        wr.index,
+                        r.ok() ? Expected<DesignPoint>(ex_.pricePoint(
+                                     configs_[wr.index], r.value()))
+                               : Expected<DesignPoint>(r.status()));
+                }
                 ++rec.resultsDelivered;
-                fireProgress(/*force=*/false);
                 return;
             }
             case kTagMetrics: {
@@ -854,7 +753,7 @@ class ShardSupervisor
     {
         std::vector<std::uint32_t> out;
         for (std::uint32_t idx : shard)
-            if (!slots_[idx].has_value())
+            if (!collector_.has(idx))
                 out.push_back(idx);
         return out;
     }
@@ -892,7 +791,6 @@ class ShardSupervisor
             pending = unresolvedOf(pending);
             if (pending.empty()) {
                 timeline_[tlIndex].resolution = "ok";
-                fireProgress(/*force=*/true);
                 return;
             }
             if (a + 1 == maxAttempts) {
@@ -946,17 +844,17 @@ class ShardSupervisor
                 flightCtx += lastFailedFlight_->phase;
                 flightCtx += "'";
             }
-            quarantine_[idx] = statusf(
-                code,
-                "isolated worker %s; point quarantined after %d "
-                "attempt(s)%s",
-                outcome.detail.c_str(),
-                1 + std::max(0, opts_.retry.maxRetries),
-                flightCtx.c_str());
+            collector_.record(
+                idx,
+                statusf(code,
+                        "isolated worker %s; point quarantined after %d "
+                        "attempt(s)%s",
+                        outcome.detail.c_str(),
+                        1 + std::max(0, opts_.retry.maxRetries),
+                        flightCtx.c_str()));
             warn("supervisor: quarantined design point %s (%s%s)",
                  configs_[idx].label().c_str(),
                  outcome.detail.c_str(), flightCtx.c_str());
-            fireProgress(/*force=*/true);
             return;
         }
         // The shard keeps killing workers and we cannot tell which
@@ -971,56 +869,16 @@ class ShardSupervisor
                                            pending.end()));
     }
 
-    /**
-     * Progress that streams: result frames fire this throttled to
-     * one update per progressIntervalSeconds (so an isolated sweep
-     * reports per point, like the in-process engine, not only per
-     * resolved shard); resolution and quarantine fire it forced.
-     */
-    void fireProgress(bool force)
-    {
-        if (!opts_.progress)
-            return;
-        const double nowSeconds = elapsedSeconds();
-        if (!force && nowSeconds - lastProgressSeconds_ <
-                          opts_.progressIntervalSeconds)
-            return;
-        lastProgressSeconds_ = nowSeconds;
-        SweepProgress p;
-        p.total = configs_.size();
-        for (std::size_t i = 0; i < slots_.size(); ++i) {
-            if (quarantine_[i].has_value()) {
-                ++p.done;
-                ++p.failed;
-            } else if (slots_[i].has_value()) {
-                ++p.done;
-                if (!slots_[i]->ok())
-                    ++p.failed;
-            }
-        }
-        p.elapsedSeconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start_)
-                .count();
-        p.etaSeconds =
-            p.done ? p.elapsedSeconds *
-                         static_cast<double>(p.total - p.done) /
-                         static_cast<double>(p.done)
-                   : 0.0;
-        opts_.progress(p);
-    }
-
+    Explorer &ex_;
     Benchmark bench_;
     const std::vector<SystemConfig> &configs_;
     const SupervisorOptions &opts_;
+    SweepCollector &collector_;
     SupervisionStats stats_;
     std::vector<ShardTimeline> timeline_;
-    std::vector<std::optional<Expected<HierarchyStats>>> slots_;
-    std::vector<std::optional<Status>> quarantine_;
     std::vector<int> faultFired_;
     std::optional<FlightInfo> lastFailedFlight_;
     std::chrono::steady_clock::time_point start_;
-    double lastProgressSeconds_ = -1e9;
 };
 
 } // namespace
@@ -1038,50 +896,12 @@ supervisedEvaluateAll(Explorer &ex, Benchmark b,
     if (configs.empty())
         return out;
 
-    // The in-process engine ticks explore.sweeps once per sweep; do
-    // the same here so the aggregated rollups of an isolated run
-    // stay comparable counter-for-counter with evaluateAll.
-    MetricsRegistry::global().counter("explore.sweeps").inc();
-
-    ShardSupervisor sup(b, configs, opts);
+    SweepCollector collector(ex, b, configs, report);
+    ShardSupervisor sup(ex, b, configs, opts, collector);
     sup.run();
     out.stats = sup.stats();
     out.timeline = std::move(sup.timeline());
-
-    // Collection: mirror Explorer::evaluateAll exactly, in input
-    // index order — ok points price through the same memoized pure
-    // functions, failed points record the same way (including the
-    // collapse of repeated non-config benchmark failures into one
-    // entry), so points, envelopes and report ordering are
-    // byte-identical to an in-process run. Quarantined points slot
-    // in at their input position like any other per-point failure.
-    const char *benchName = Workloads::info(b).name;
-    std::string benchFailure;
-    out.points.reserve(configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        if (sup.quarantine(i).has_value()) {
-            report->add(configs[i].label(), *sup.quarantine(i));
-            continue;
-        }
-        tlc_assert(sup.slot(i).has_value(),
-                   "supervised sweep left index %zu unresolved", i);
-        Expected<HierarchyStats> &r = *sup.slot(i);
-        if (r.ok()) {
-            out.points.push_back(ex.pricePoint(configs[i], r.value()));
-        } else if (r.status().code() != StatusCode::InvalidConfig) {
-            std::string repr = r.status().toString();
-            if (repr != benchFailure) {
-                benchFailure = std::move(repr);
-                report->add(std::string("benchmark ") + benchName,
-                            r.status());
-            }
-        } else {
-            MetricsRegistry::global()
-                .counter("explore.points.failed")
-                .inc();
-            report->add(configs[i].label(), r.status());
-        }
-    }
+    out.points = collector.finish();
     return out;
 }
 
@@ -1161,19 +981,6 @@ supervisorTimelinesJson(const SupervisionStats &stats,
     return os.str();
 }
 
-SupervisedSweep
-supervisedSweepSpace(Explorer &ex, Benchmark b,
-                     const SystemAssumptions &assume,
-                     bool include_single_level, bool include_two_level,
-                     FailureReport *report, const SupervisorOptions &opts)
-{
-    return supervisedEvaluateAll(
-        ex, b,
-        DesignSpace::enumerate(assume, include_single_level,
-                               include_two_level),
-        report, opts);
-}
-
 bool
 supervisorOptionsFromArgs(const ArgParser &args, SupervisorOptions *out)
 {
@@ -1182,20 +989,35 @@ supervisorOptionsFromArgs(const ArgParser &args, SupervisorOptions *out)
         fatal("--isolate must be 'process' or 'none' (got '%s')",
               mode.c_str());
     }
+    // Range-check before narrowing: a negative count must not wrap
+    // into a huge shard or an index no worker ever reaches.
+    auto intIn = [&](const char *key, std::int64_t def, std::int64_t lo,
+                     std::int64_t hi) {
+        const std::int64_t v = args.getInt(key, def);
+        if (v < lo || v > hi) {
+            fatal("--%s=%lld out of range [%lld, %lld]", key,
+                  static_cast<long long>(v), static_cast<long long>(lo),
+                  static_cast<long long>(hi));
+        }
+        return v;
+    };
+    constexpr std::int64_t kU32Max = 0xffffffffll;
+    constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
     out->pointsPerShard =
-        static_cast<std::size_t>(args.getInt("shard-points", 32));
+        static_cast<std::size_t>(intIn("shard-points", 32, 1, kU32Max));
     out->watchdog.timeoutSeconds = args.getDouble("shard-timeout", 60.0);
     out->retry.maxRetries =
-        static_cast<int>(args.getInt("max-retries", 2));
+        static_cast<int>(intIn("max-retries", 2, 0, kIntMax));
     out->storeFsync = args.getBool("store-fsync", false);
 
-    const int times = static_cast<int>(args.getInt("inject-times", -1));
+    const int times =
+        static_cast<int>(intIn("inject-times", -1, -1, kIntMax));
     auto inject = [&](const char *key, ShardFault::Kind kind) {
         if (!args.has(key))
             return;
         ShardFault f;
         f.kind = kind;
-        f.atIndex = static_cast<std::uint32_t>(args.getInt(key, 0));
+        f.atIndex = static_cast<std::uint32_t>(intIn(key, 0, 0, kU32Max));
         f.times = times;
         out->faults.faults.push_back(f);
     };

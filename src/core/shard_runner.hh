@@ -67,7 +67,6 @@
 #define TLC_CORE_SHARD_RUNNER_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -128,11 +127,6 @@ struct SupervisorOptions
     bool storeFsync = false;
     /** Deterministic fault injection (tests and recovery drills). */
     ShardFaultPlan faults;
-    /** Progress callback; fires (throttled) as worker results
-     *  stream in, and unthrottled when a shard resolves. */
-    std::function<void(const SweepProgress &)> progress;
-    /** Minimum seconds between streamed progress updates. */
-    double progressIntervalSeconds = 0.25;
 };
 
 /** What it took to finish one supervised sweep. */
@@ -212,7 +206,9 @@ supervisorTimelinesJson(const SupervisionStats &stats,
  * every shard in a forked worker subprocess under @p opts. Failed
  * points land in @p report exactly as the in-process engine would
  * record them, plus quarantined points (repeated worker death) as
- * WorkerCrash/WorkerTimeout entries. @p report is required: a
+ * WorkerCrash/WorkerTimeout entries. Progress goes to @p ex's
+ * callback (Explorer::setProgressCallback), throttled per result
+ * frame like the in-process engine. @p report is required: a
  * supervisor exists to keep going, which only makes sense fail-soft.
  */
 SupervisedSweep
@@ -220,17 +216,6 @@ supervisedEvaluateAll(Explorer &ex, Benchmark b,
                       const std::vector<SystemConfig> &configs,
                       FailureReport *report,
                       const SupervisorOptions &opts);
-
-/**
- * Supervised twin of Explorer::sweep: enumerate the design space of
- * @p assume and run it through supervisedEvaluateAll.
- */
-SupervisedSweep
-supervisedSweepSpace(Explorer &ex, Benchmark b,
-                     const SystemAssumptions &assume,
-                     bool include_single_level, bool include_two_level,
-                     FailureReport *report,
-                     const SupervisorOptions &opts);
 
 /**
  * Parse the process-isolation flags the sweep drivers share
@@ -252,7 +237,9 @@ supervisedSweepSpace(Explorer &ex, Benchmark b,
  *                             (-1 = every time)
  *
  * Fills @p out either way; returns true when --isolate=process was
- * requested. An unknown --isolate value is fatal.
+ * requested. An unknown --isolate value is fatal, and so is a count
+ * or index out of range (--shard-points < 1, --max-retries < 0,
+ * --inject-*-at outside [0, 2^32), --inject-times < -1).
  */
 bool supervisorOptionsFromArgs(const ArgParser &args,
                                SupervisorOptions *out);

@@ -13,6 +13,7 @@
 #include "util/logging.hh"
 #include "util/metrics.hh"
 #include "util/profiler.hh"
+#include "util/wire.hh"
 
 namespace tlc {
 
@@ -41,33 +42,40 @@ struct CacheMetrics
 /** The profiler phase charged with store traffic. */
 constexpr const char *kPhaseSweepCache = "sweep.cache";
 
-void
-putU64le(std::string &s, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        s.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-std::uint64_t
-getU64le(const unsigned char *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
 /**
  * Payload layout: u64 key-text length, the key text (collision and
- * schema guard), then the eight stats fields in declaration order.
+ * schema guard), then the encoded stats.
  */
 std::string
 serializeStats(const std::string &key_text, const HierarchyStats &s)
 {
     std::string out;
-    out.reserve(8 + key_text.size() + 8 * 8);
+    out.reserve(8 + key_text.size() + kHierarchyStatsBytes);
     putU64le(out, key_text.size());
     out.append(key_text);
+    encodeHierarchyStats(out, s);
+    return out;
+}
+
+bool
+deserializeStats(const std::string &payload, const std::string &key_text,
+                 HierarchyStats &out)
+{
+    WireReader r{payload};
+    std::uint64_t textLen = 0;
+    if (!r.u64(textLen) || textLen != key_text.size() ||
+        payload.size() - r.off < textLen ||
+        payload.compare(r.off, textLen, key_text) != 0)
+        return false;
+    return decodeHierarchyStats(
+        std::string_view(payload).substr(r.off + textLen), out);
+}
+
+} // namespace
+
+void
+encodeHierarchyStats(std::string &out, const HierarchyStats &s)
+{
     putU64le(out, s.instrRefs);
     putU64le(out, s.dataRefs);
     putU64le(out, s.l1iMisses);
@@ -76,37 +84,19 @@ serializeStats(const std::string &key_text, const HierarchyStats &s)
     putU64le(out, s.l2Misses);
     putU64le(out, s.swaps);
     putU64le(out, s.offchipWritebacks);
-    return out;
 }
 
 bool
-deserializeStats(const std::string &payload, const std::string &key_text,
-                 HierarchyStats &out)
+decodeHierarchyStats(std::string_view bytes, HierarchyStats &out)
 {
-    if (payload.size() < 8)
+    if (bytes.size() != kHierarchyStatsBytes)
         return false;
-    const unsigned char *p =
-        reinterpret_cast<const unsigned char *>(payload.data());
-    std::uint64_t textLen = getU64le(p);
-    if (textLen != key_text.size() ||
-        payload.size() != 8 + textLen + 8 * 8) {
-        return false;
-    }
-    if (payload.compare(8, textLen, key_text) != 0)
-        return false;
-    p += 8 + textLen;
-    out.instrRefs = getU64le(p + 0 * 8);
-    out.dataRefs = getU64le(p + 1 * 8);
-    out.l1iMisses = getU64le(p + 2 * 8);
-    out.l1dMisses = getU64le(p + 3 * 8);
-    out.l2Hits = getU64le(p + 4 * 8);
-    out.l2Misses = getU64le(p + 5 * 8);
-    out.swaps = getU64le(p + 6 * 8);
-    out.offchipWritebacks = getU64le(p + 7 * 8);
-    return true;
+    WireReader r{bytes};
+    return r.u64(out.instrRefs) && r.u64(out.dataRefs) &&
+           r.u64(out.l1iMisses) && r.u64(out.l1dMisses) &&
+           r.u64(out.l2Hits) && r.u64(out.l2Misses) &&
+           r.u64(out.swaps) && r.u64(out.offchipWritebacks);
 }
-
-} // namespace
 
 Status
 SweepCache::open(const std::string &path,

@@ -40,6 +40,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "cache/hierarchy.hh"
 #include "core/system_config.hh"
@@ -57,6 +58,23 @@ namespace tlc {
  * never contaminate a new engine.
  */
 constexpr std::uint32_t kSweepCacheSchemaVersion = 1;
+
+/** Bytes of one encodeHierarchyStats() record. */
+constexpr std::size_t kHierarchyStatsBytes = 8 * 8;
+
+/**
+ * The one binary layout of HierarchyStats: the eight fields as u64le
+ * in declaration order. Store records (after their key text) and
+ * shard-runner result frames (core/shard_runner.cc) both carry it.
+ * Existing stores decode through it, so any change to it needs a
+ * kSweepCacheSchemaVersion bump (tests/test_result_store.cc pins the
+ * bytes).
+ */
+void encodeHierarchyStats(std::string &out, const HierarchyStats &s);
+
+/** Inverse of encodeHierarchyStats(); false unless @p bytes is
+ *  exactly kHierarchyStatsBytes long. */
+bool decodeHierarchyStats(std::string_view bytes, HierarchyStats &out);
 
 /** How a lookup was resolved (mostly for tests and tooling). */
 enum class SweepCacheOutcome { Hit, Miss, Stale };

@@ -17,6 +17,7 @@
 
 #include "util/crc32.hh"
 #include "util/logging.hh"
+#include "util/wire.hh"
 
 namespace tlc {
 
@@ -25,24 +26,6 @@ const char kResultStoreMagic[4] = {'T', 'L', 'R', 'S'};
 namespace {
 
 constexpr std::size_t kHeaderBytes = 8;
-
-void
-putU32le(std::string &s, std::uint32_t v)
-{
-    s.push_back(static_cast<char>(v & 0xff));
-    s.push_back(static_cast<char>((v >> 8) & 0xff));
-    s.push_back(static_cast<char>((v >> 16) & 0xff));
-    s.push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
-std::uint32_t
-getU32le(const unsigned char *p)
-{
-    return static_cast<std::uint32_t>(p[0]) |
-        (static_cast<std::uint32_t>(p[1]) << 8) |
-        (static_cast<std::uint32_t>(p[2]) << 16) |
-        (static_cast<std::uint32_t>(p[3]) << 24);
-}
 
 } // namespace
 

@@ -22,6 +22,7 @@
 #include "util/logging.hh"
 #include "util/metrics.hh"
 #include "util/random.hh"
+#include "util/wire.hh"
 
 namespace tlc {
 
@@ -49,22 +50,6 @@ struct WorkerMetrics
         return m;
     }
 };
-
-void
-putU32le(std::string &s, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        s.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-std::uint32_t
-getU32le(const unsigned char *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-}
 
 double
 nowSeconds()

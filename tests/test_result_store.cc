@@ -11,9 +11,10 @@
  *    header refuses to open.
  *
  *  - SweepCache (core/sweep_cache.hh): statistics round-trip
- *    bit-exactly, and a record whose embedded key text disagrees
- *    (hash collision, schema drift) reads as stale, never as wrong
- *    numbers.
+ *    bit-exactly, the record byte layout is pinned (so stores from
+ *    earlier builds keep hitting), and a record whose embedded key
+ *    text disagrees (hash collision, schema drift) or whose length
+ *    is off reads as stale, never as wrong numbers.
  *
  *  - The differential tentpole: over the 64-point reference grid, a
  *    store-backed sweep is byte-identical to an uncached one, a WARM
@@ -393,6 +394,85 @@ TEST(SweepCache, KeyTextMismatchReadsAsStaleNotWrongStats)
     // The honest key simply misses (its hash is absent here).
     EXPECT_FALSE(cache.lookup(other, &outcome).has_value());
     EXPECT_EQ(outcome, SweepCacheOutcome::Miss);
+}
+
+TEST(SweepCache, StorePayloadLayoutIsPinned)
+{
+    // The record body spelled out byte by byte, not through the
+    // codec: u64le key-text length, the key text, then the eight
+    // HierarchyStats fields as u64le in declaration order. Stores
+    // written by earlier builds must keep hitting, so this layout
+    // may only change together with kSweepCacheSchemaVersion.
+    auto le64 = [](std::string &s, std::uint64_t v) {
+        for (int i = 0; i < 8; ++i)
+            s.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    };
+    std::string body;
+    for (std::uint64_t f = 0; f < 8; ++f)
+        le64(body, 0x0807060504030201ull + f * 0x1010101010101010ull);
+    auto payloadFor = [&](const std::string &key_text) {
+        std::string p;
+        le64(p, key_text.size());
+        return p + key_text + body;
+    };
+    SystemConfig c;
+    c.l1Bytes = 8_KiB;
+    c.l2Bytes = 256_KiB;
+    // Equal-length keys, one per damaged variant below.
+    auto keyOf = [&](std::size_t variant) {
+        char trace[32];
+        std::snprintf(trace, sizeof trace, "synthetic:pin%04zu", variant);
+        return SweepCache::keyText(trace, 1000, c);
+    };
+
+    const std::string key = keyOf(9999);
+    const std::string full = payloadFor(key);
+    std::string path = tempPath("tlc_cache_layout.tlrs");
+    {
+        ResultStore planter;
+        ASSERT_TRUE(planter.open(path).ok());
+        ASSERT_TRUE(planter.append(SweepCache::hashKey(key), full).ok());
+        // Every truncation, and a one-byte extension, of a record
+        // that is otherwise intact.
+        for (std::size_t len = 0; len <= full.size(); ++len) {
+            std::string p = payloadFor(keyOf(len));
+            p.resize(len == full.size() ? len + 1 : len, '\0');
+            ASSERT_TRUE(
+                planter.append(SweepCache::hashKey(keyOf(len)), p).ok());
+        }
+    }
+
+    SweepCache cache;
+    ASSERT_TRUE(cache.open(path).ok());
+    SweepCacheOutcome outcome = SweepCacheOutcome::Miss;
+    std::optional<HierarchyStats> got = cache.lookup(key, &outcome);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(outcome, SweepCacheOutcome::Hit);
+    EXPECT_EQ(got->instrRefs, 0x0807060504030201ull);
+    EXPECT_EQ(got->dataRefs, 0x1817161514131211ull);
+    EXPECT_EQ(got->l1iMisses, 0x2827262524232221ull);
+    EXPECT_EQ(got->l1dMisses, 0x3837363534333231ull);
+    EXPECT_EQ(got->l2Hits, 0x4847464544434241ull);
+    EXPECT_EQ(got->l2Misses, 0x5857565554535251ull);
+    EXPECT_EQ(got->swaps, 0x6867666564636261ull);
+    EXPECT_EQ(got->offchipWritebacks, 0x7877767574737271ull);
+    for (std::size_t len = 0; len <= full.size(); ++len) {
+        SCOPED_TRACE("variant " + std::to_string(len));
+        EXPECT_FALSE(cache.lookup(keyOf(len), &outcome).has_value());
+        EXPECT_EQ(outcome, SweepCacheOutcome::Stale);
+    }
+
+    // The shared decoder itself: exactly kHierarchyStatsBytes, no
+    // more and no less, and the encoder writes the same bytes.
+    ASSERT_EQ(body.size(), kHierarchyStatsBytes);
+    HierarchyStats s;
+    ASSERT_TRUE(decodeHierarchyStats(body, s));
+    std::string reencoded;
+    encodeHierarchyStats(reencoded, s);
+    EXPECT_EQ(reencoded, body);
+    for (std::size_t len = 0; len < body.size(); ++len)
+        EXPECT_FALSE(decodeHierarchyStats(body.substr(0, len), s)) << len;
+    EXPECT_FALSE(decodeHierarchyStats(body + '\0', s));
 }
 
 // ---------------------------------------------------------------

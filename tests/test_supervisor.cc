@@ -19,6 +19,7 @@
  *  - a SIGKILLed *supervisor* (and its orphaned workers) resumed
  *    against the same result store reproduces the uninterrupted
  *    output byte-for-byte;
+ *  - out-of-range isolation flags are fatal, not silently wrapped;
  *  - the result store surfaces the ENOSPC class as
  *    ResourceExhausted at write time and repairs the torn tail
  *    immediately, so the file stays intact for the next opener.
@@ -39,6 +40,7 @@
 #include "core/explorer.hh"
 #include "core/shard_runner.hh"
 #include "core/sweep_cache.hh"
+#include "util/metrics.hh"
 #include "util/result_store.hh"
 #include "util/supervisor.hh"
 #include "util/units.hh"
@@ -319,6 +321,9 @@ TEST(ShardRunner, PermanentCrashQuarantinesExactlyThatPoint)
     opts.retry.maxRetries = 1; // keep the bisection cascade short
     opts.faults.faults.push_back(
         fault(ShardFault::Kind::Crash, poisoned, -1));
+    const MetricCounter &failedPoints =
+        MetricsRegistry::global().counter("explore.points.failed");
+    const std::uint64_t failedBefore = failedPoints.value();
     SweepResult sup = runSupervised(grid, opts);
 
     // Exactly the poisoned point is missing; everything else is
@@ -339,6 +344,9 @@ TEST(ShardRunner, PermanentCrashQuarantinesExactlyThatPoint)
     EXPECT_EQ(sup.stats.quarantined, 1u);
     EXPECT_GE(sup.stats.bisections, 1u);
     EXPECT_GE(sup.stats.crashes, 2u);
+    // A quarantined point is a per-point failure like an invalid
+    // config, so it counts in explore.points.failed.
+    EXPECT_EQ(failedPoints.value() - failedBefore, 1u);
 }
 
 TEST(ShardRunner, TransientCrashIsAbsorbedByRetry)
@@ -473,14 +481,14 @@ TEST(ShardRunner, SigkilledSupervisorResumesByteIdentical)
         const int wfd = progressPipe[1];
         SupervisorOptions opts = testOptions();
         opts.resultStorePath = storePath;
-        opts.progress = [wfd](const SweepProgress &) {
-            char b = '.';
-            (void)::write(wfd, &b, 1);
-        };
         EvaluatorOptions evopts;
         evopts.traceRefs = kRefs;
         MissRateEvaluator ev(std::move(evopts));
         Explorer ex(ev);
+        ex.setProgressCallback([wfd](const SweepProgress &) {
+            char b = '.';
+            (void)::write(wfd, &b, 1);
+        });
         FailureReport report;
         (void)supervisedEvaluateAll(ex, Benchmark::Gcc1, grid, &report,
                                     opts);
@@ -503,6 +511,84 @@ TEST(ShardRunner, SigkilledSupervisorResumesByteIdentical)
     expectIdentical(clean, resumed);
     EXPECT_EQ(resumed.stats.quarantined, 0u);
     std::remove(storePath.c_str());
+}
+
+// ---------------------------------------------------------------
+// supervisorOptionsFromArgs: out-of-range isolation flags are fatal
+// instead of wrapping into a huge shard or an unreachable index.
+// ---------------------------------------------------------------
+
+namespace {
+
+/** Parse the isolation flags the way the sweep drivers do. */
+SupervisorOptions
+parseIsolationFlags(std::vector<const char *> flags)
+{
+    flags.insert(flags.begin(), {"prog", "--isolate=process"});
+    ArgParser args(static_cast<int>(flags.size()), flags.data());
+    SupervisorOptions opts;
+    EXPECT_TRUE(supervisorOptionsFromArgs(args, &opts));
+    return opts;
+}
+
+} // namespace
+
+TEST(ShardRunnerFlags, RangeLimitsAreAccepted)
+{
+    SupervisorOptions o = parseIsolationFlags(
+        {"--shard-points=1", "--max-retries=0", "--inject-times=-1",
+         "--inject-crash-at=0", "--inject-hang-at=4294967295"});
+    EXPECT_EQ(o.pointsPerShard, 1u);
+    EXPECT_EQ(o.retry.maxRetries, 0);
+    ASSERT_EQ(o.faults.faults.size(), 2u);
+    EXPECT_EQ(o.faults.faults[0].atIndex, 0u);
+    EXPECT_EQ(o.faults.faults[1].atIndex, 4294967295u);
+    EXPECT_EQ(o.faults.faults[1].times, -1);
+}
+
+TEST(ShardRunnerFlags, ShardPointsBelowOneIsFatal)
+{
+    EXPECT_EXIT(parseIsolationFlags({"--shard-points=-1"}),
+                ::testing::ExitedWithCode(1),
+                "--shard-points=-1 out of range");
+    EXPECT_EXIT(parseIsolationFlags({"--shard-points=0"}),
+                ::testing::ExitedWithCode(1),
+                "--shard-points=0 out of range");
+}
+
+TEST(ShardRunnerFlags, NegativeMaxRetriesIsFatal)
+{
+    EXPECT_EXIT(parseIsolationFlags({"--max-retries=-1"}),
+                ::testing::ExitedWithCode(1),
+                "--max-retries=-1 out of range");
+}
+
+TEST(ShardRunnerFlags, InjectCrashAtOutsideU32IsFatal)
+{
+    EXPECT_EXIT(parseIsolationFlags({"--inject-crash-at=-1"}),
+                ::testing::ExitedWithCode(1),
+                "--inject-crash-at=-1 out of range");
+}
+
+TEST(ShardRunnerFlags, InjectHangAtOutsideU32IsFatal)
+{
+    EXPECT_EXIT(parseIsolationFlags({"--inject-hang-at=4294967296"}),
+                ::testing::ExitedWithCode(1),
+                "--inject-hang-at=4294967296 out of range");
+}
+
+TEST(ShardRunnerFlags, InjectPartialAtOutsideU32IsFatal)
+{
+    EXPECT_EXIT(parseIsolationFlags({"--inject-partial-at=-5"}),
+                ::testing::ExitedWithCode(1),
+                "--inject-partial-at=-5 out of range");
+}
+
+TEST(ShardRunnerFlags, InjectTimesBelowMinusOneIsFatal)
+{
+    EXPECT_EXIT(parseIsolationFlags({"--inject-times=-2"}),
+                ::testing::ExitedWithCode(1),
+                "--inject-times=-2 out of range");
 }
 
 // ---------------------------------------------------------------

@@ -5,8 +5,9 @@
  *
  * The contract under test:
  *
- *  - a clean supervised sweep's aggregated metric rollups (cache.*,
- *    explore.*) equal the in-process engine's counters exactly —
+ *  - a supervised sweep's aggregated metric rollups (cache.*,
+ *    explore.*) and failure report equal the in-process engine's
+ *    exactly, on a clean grid and on one with an invalid config —
  *    worker deltas stream back losslessly and merge once;
  *  - every worker attempt also lands under its own worker.<id>.*
  *    namespace;
@@ -155,25 +156,48 @@ fault(ShardFault::Kind kind, std::uint32_t at, int times)
 
 TEST(Telemetry, SupervisedRollupsEqualInProcessCounters)
 {
-    const auto grid = makeGrid();
+    // The clean grid, and the grid plus one invalid configuration
+    // (a non-power-of-two L1) so the failure path of the shared
+    // collection step is compared too.
+    std::vector<SystemConfig> grid = makeGrid();
+    std::vector<SystemConfig> salted = grid;
+    SystemConfig bad;
+    bad.l1Bytes = 3000;
+    bad.l2Bytes = 0;
+    salted.push_back(bad);
 
-    // One worker thread on both sides so the in-process engine
-    // splits the grid into the same 32-point batches the supervised
-    // shards use — identical simulation work, identical counts.
-    setParallelWorkerCount(1);
-    MetricsRegistry::global().resetAll();
-    RunOutput inproc = runInProcess(grid);
-    const auto reference = comparableCounters();
+    for (const auto *configs : {&grid, &salted}) {
+        SCOPED_TRACE(configs == &grid ? "clean grid" : "salted grid");
+        // One worker thread on both sides so the in-process engine
+        // splits the grid into the same 32-point batches the
+        // supervised shards use — identical simulation work,
+        // identical counts.
+        setParallelWorkerCount(1);
+        MetricsRegistry::global().resetAll();
+        RunOutput inproc = runInProcess(*configs);
+        const auto reference = comparableCounters();
 
-    MetricsRegistry::global().resetAll();
-    RunOutput sup = runSupervised(grid, testOptions());
-    const auto rollup = comparableCounters();
-    setParallelWorkerCount(0);
+        MetricsRegistry::global().resetAll();
+        RunOutput sup = runSupervised(*configs, testOptions());
+        const auto rollup = comparableCounters();
+        setParallelWorkerCount(0);
 
-    ASSERT_EQ(inproc.points.size(), sup.points.size());
-    EXPECT_TRUE(sup.failures.empty());
-    EXPECT_FALSE(reference.empty());
-    EXPECT_EQ(reference, rollup);
+        ASSERT_EQ(inproc.points.size(), sup.points.size());
+        EXPECT_FALSE(reference.empty());
+        EXPECT_EQ(reference, rollup);
+        ASSERT_EQ(inproc.failures.size(), configs == &grid ? 0u : 1u);
+        const auto failed = rollup.find("explore.points.failed");
+        ASSERT_NE(failed, rollup.end());
+        EXPECT_EQ(failed->second, inproc.failures.size());
+        ASSERT_EQ(inproc.failures.size(), sup.failures.size());
+        for (std::size_t i = 0; i < inproc.failures.size(); ++i) {
+            EXPECT_EQ(inproc.failures[i].subject, sup.failures[i].subject);
+            EXPECT_EQ(inproc.failures[i].status.code(),
+                      sup.failures[i].status.code());
+            EXPECT_EQ(inproc.failures[i].status.message(),
+                      sup.failures[i].status.message());
+        }
+    }
 }
 
 TEST(Telemetry, WorkerNamespacesAndPhaseStatsMerge)

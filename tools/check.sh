@@ -229,13 +229,18 @@ run_asan() {
     # The fault-injection and store-corruption tests only prove "no
     # memory error on corrupt input" when the memory errors would
     # actually be reported, so build those suites again with the
-    # sanitizers on and run a longer fuzz pass.
+    # sanitizers on and run a longer fuzz pass. The supervisor and
+    # telemetry suites drive the worker frame decoders; their crash
+    # drills raise a real SIGSEGV that must kill the worker by
+    # signal, so ASan's own SEGV handler stays out of the way.
     echo "== tier asan: robustness suites under ASan+UBSan =="
     configure build-asan -DTLC_SANITIZE=ON
     cmake --build build-asan --target test_robustness \
-        test_result_store trace_fuzz
+        test_result_store test_supervisor test_telemetry trace_fuzz
     build-asan/tests/test_robustness
     build-asan/tests/test_result_store
+    ASAN_OPTIONS=handle_segv=0 build-asan/tests/test_supervisor
+    ASAN_OPTIONS=handle_segv=0 build-asan/tests/test_telemetry
     build-asan/tools/trace_fuzz --rounds=100 --refs=2000
 }
 
