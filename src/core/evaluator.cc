@@ -77,7 +77,8 @@ MissRateEvaluator::MissRateEvaluator(EvaluatorOptions options)
                                    : Workloads::defaultTraceLength()),
       warmupFraction_(options.warmupFraction),
       store_(std::move(options.resultStore)),
-      pool_(std::move(options.tracePool)),
+      pool_(options.tracePool ? std::move(options.tracePool)
+                              : std::make_shared<TracePool>()),
       traceFiles_(std::move(options.traceFiles))
 {
     tlc_assert(warmupFraction_ >= 0.0 && warmupFraction_ < 1.0,
@@ -130,41 +131,32 @@ MissRateEvaluator::loadTrace(Benchmark b, const std::string &trace_file)
     return buf;
 }
 
+std::pair<std::string, std::string>
+MissRateEvaluator::traceIdentity(Benchmark b)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    auto fit = traceFiles_.find(b);
+    std::string traceFile =
+        fit == traceFiles_.end() ? std::string() : fit->second;
+    auto it = traceIds_.find(b);
+    if (it == traceIds_.end()) {
+        it = traceIds_
+                 .emplace(b, SweepCache::traceIdentity(b, traceRefs_,
+                                                       traceFile))
+                 .first;
+    }
+    return {it->second, std::move(traceFile)};
+}
+
 Expected<const TraceBuffer *>
 MissRateEvaluator::tryTrace(Benchmark b)
 {
-    std::string traceFile;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto fit = traceFiles_.find(b);
-        if (fit != traceFiles_.end())
-            traceFile = fit->second;
-    }
-
-    // Pooled path: short-lived evaluators (one per served sweep
-    // request) resolve traces in the shared process-wide pool keyed
-    // by trace identity, so a fresh evaluator never re-generates a
-    // trace a previous request already paid for. The pool's own
-    // mutex serializes loads.
-    if (pool_) {
-        return pool_->acquire(
-            SweepCache::traceIdentity(b, traceRefs_, traceFile),
-            [&] { return loadTrace(b, traceFile); });
-    }
-
-    // The whole load runs under the lock: it happens once per
-    // benchmark (evaluateAll preloads before fanning out), and a
-    // half-inserted TraceBuffer must never be visible to a worker.
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = traces_.find(b);
-    if (it != traces_.end())
-        return static_cast<const TraceBuffer *>(&it->second);
-
-    Expected<TraceBuffer> loaded = loadTrace(b, traceFile);
-    if (!loaded.ok())
-        return loaded.status();
-    it = traces_.emplace(b, std::move(loaded.value())).first;
-    return static_cast<const TraceBuffer *>(&it->second);
+    // The pool is keyed by trace identity, so evaluators sharing a
+    // pool (one per served sweep request) never re-generate a trace
+    // an earlier one already paid for. The pool's own mutex
+    // serializes loads, and a half-loaded trace is never visible.
+    auto [id, traceFile] = traceIdentity(b);
+    return pool_->acquire(id, [&] { return loadTrace(b, traceFile); });
 }
 
 std::string
@@ -178,27 +170,9 @@ MissRateEvaluator::key(Benchmark b, const SystemConfig &c) const
 std::string
 MissRateEvaluator::storeKeyText(Benchmark b, const SystemConfig &c)
 {
-    std::string traceId;
-    {
-        // The trace identity (a stat of the trace file at most) is
-        // computed once per benchmark and cached; it deliberately
-        // does NOT load the trace, so a fully warm sweep never
-        // touches trace bytes.
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = traceIds_.find(b);
-        if (it == traceIds_.end()) {
-            auto fit = traceFiles_.find(b);
-            it = traceIds_
-                     .emplace(b, SweepCache::traceIdentity(
-                                     b, traceRefs_,
-                                     fit == traceFiles_.end()
-                                         ? std::string()
-                                         : fit->second))
-                     .first;
-        }
-        traceId = it->second;
-    }
-    return SweepCache::keyText(traceId, warmupRefs(), c);
+    // The identity deliberately does NOT load the trace, so a fully
+    // warm sweep never touches trace bytes.
+    return SweepCache::keyText(traceIdentity(b).first, warmupRefs(), c);
 }
 
 std::unique_ptr<Hierarchy>

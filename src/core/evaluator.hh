@@ -59,13 +59,14 @@
 namespace tlc {
 
 /**
- * A process-wide pool of loaded/generated benchmark traces, shared
- * by several MissRateEvaluators. The sweep-service daemon
- * (service/sweep_service.hh) builds a FRESH evaluator per request —
- * so every request's memo misses route through the shared persistent
- * store, making cache reuse visible per request — but a fresh
- * evaluator must not re-generate multi-megabyte traces the previous
- * request already paid for. Keyed by SweepCache::traceIdentity, so
+ * A pool of loaded/generated benchmark traces. Every
+ * MissRateEvaluator resolves its traces through one: its own by
+ * default, or one shared by several evaluators. The sweep-service
+ * daemon (service/sweep_service.hh) builds a FRESH evaluator per
+ * request — so every request's memo misses route through the shared
+ * persistent store, making cache reuse visible per request — but a
+ * fresh evaluator must not re-generate multi-megabyte traces the
+ * previous request already paid for. Keyed by SweepCache::traceIdentity, so
  * two evaluators with the same benchmark, length and trace-file
  * routing share one immutable buffer.
  *
@@ -116,11 +117,10 @@ struct EvaluatorOptions
      *  persistence; a SweepCache that is not open() behaves the
      *  same. */
     std::shared_ptr<SweepCache> resultStore;
-    /** Shared trace pool (see TracePool). With one, the evaluator
-     *  resolves traces there instead of in its private cache, so
-     *  short-lived evaluators (one per served sweep request) reuse
-     *  already-loaded traces. Null (the default) keeps the classic
-     *  per-evaluator trace cache. */
+    /** Shared trace pool (see TracePool), so short-lived
+     *  evaluators (one per served sweep request) reuse
+     *  already-loaded traces. Null (the default) gives the
+     *  evaluator a private pool of its own. */
     std::shared_ptr<TracePool> tracePool;
 };
 
@@ -191,17 +191,20 @@ class MissRateEvaluator
     static std::unique_ptr<Hierarchy> makeHierarchy(
         const SystemConfig &config);
 
-    /** Load or synthesize the trace of @p b (shared by the private
-     *  cache and the pooled path). */
+    /** The trace identity of @p b (SweepCache::traceIdentity) and
+     *  its trace file ("" when synthetic). The identity is computed
+     *  once per benchmark and cached; it never loads the trace. */
+    std::pair<std::string, std::string> traceIdentity(Benchmark b);
+
+    /** Load or synthesize the trace of @p b. */
     Expected<TraceBuffer> loadTrace(Benchmark b,
                                     const std::string &trace_file);
 
     std::uint64_t traceRefs_;
     double warmupFraction_;
     std::shared_ptr<SweepCache> store_;
-    std::shared_ptr<TracePool> pool_;
-    mutable std::mutex mu_; ///< guards the four caches below
-    std::map<Benchmark, TraceBuffer> traces_;
+    std::shared_ptr<TracePool> pool_; ///< never null
+    mutable std::mutex mu_; ///< guards the three maps below
     std::map<Benchmark, std::string> traceFiles_;
     std::map<Benchmark, std::string> traceIds_;
     std::map<std::string, HierarchyStats> results_;

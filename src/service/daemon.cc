@@ -165,15 +165,13 @@ SweepDaemon::stop()
         acceptThread_.join();
     // Connection threads notice stop_ within one poll tick; a thread
     // inside a sweep finishes it first (drain semantics).
-    std::vector<std::thread> conns;
+    std::vector<std::unique_ptr<Connection>> conns;
     {
         std::lock_guard<std::mutex> lock(connsMu_);
         conns.swap(conns_);
     }
-    for (std::thread &t : conns) {
-        if (t.joinable())
-            t.join();
-    }
+    for (auto &c : conns)
+        c->thread.join();
     if (listenFd_ >= 0) {
         ::close(listenFd_);
         listenFd_ = -1;
@@ -183,9 +181,24 @@ SweepDaemon::stop()
 }
 
 void
+SweepDaemon::reapFinished()
+{
+    std::lock_guard<std::mutex> lock(connsMu_);
+    std::erase_if(conns_, [](std::unique_ptr<Connection> &c) {
+        if (!c->done)
+            return false;
+        c->thread.join();
+        return true;
+    });
+}
+
+void
 SweepDaemon::acceptLoop()
 {
     while (!stop_) {
+        // A finished connection thread keeps its stack until it is
+        // joined, so a long-running daemon joins them as it goes.
+        reapFinished();
         pollfd p{listenFd_, POLLIN, 0};
         int r = ::poll(&p, 1, kPollMs);
         if (r < 0) {
@@ -204,8 +217,14 @@ SweepDaemon::acceptLoop()
             return;
         }
         DaemonMetrics::get().connections.inc();
+        auto conn = std::make_unique<Connection>();
+        Connection *c = conn.get();
         std::lock_guard<std::mutex> lock(connsMu_);
-        conns_.emplace_back([this, fd] { serveConnection(fd); });
+        c->thread = std::thread([this, c, fd] {
+            serveConnection(fd);
+            c->done = true;
+        });
+        conns_.push_back(std::move(conn));
     }
 }
 

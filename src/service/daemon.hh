@@ -33,7 +33,8 @@
  * concurrently, run in arrival order, and the later one's repeated
  * points resolve from the shared store (warm, near-free).
  *
- * Lifecycle: start() binds, listens and spawns the accept loop;
+ * Lifecycle: start() binds, listens and spawns the accept loop,
+ * which also joins each connection thread once its client hangs up;
  * stop() (idempotent, also run by the destructor) finishes in-flight
  * requests, joins every connection thread and unlinks the socket.
  * tlcd (tools/tlcd.cc) wires SIGTERM/SIGINT to stop() for clean
@@ -44,6 +45,7 @@
 #define TLC_SERVICE_DAEMON_HH
 
 #include <atomic>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -88,8 +90,18 @@ class SweepDaemon
     std::atomic<bool> stop_{false};
     bool started_ = false;
     std::thread acceptThread_;
+
+    /** One connection's thread; @c done is set as it returns. */
+    struct Connection
+    {
+        std::thread thread;
+        std::atomic<bool> done{false};
+    };
+    /** Join the connection threads whose clients have hung up. */
+    void reapFinished();
+
     std::mutex connsMu_;
-    std::vector<std::thread> conns_;
+    std::vector<std::unique_ptr<Connection>> conns_;
 };
 
 } // namespace tlc::service

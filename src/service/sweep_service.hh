@@ -13,8 +13,8 @@
  * fresh evaluator every repeated point resolves in the shared store,
  * so the second client's warm re-sweep is (a) near-free and (b)
  * visibly so in its stats document (store_hits > 0) — the service's
- * headline property, pinned by tests/test_service.cc and
- * bench/service_throughput.cc.
+ * headline property, pinned by tests/test_service.cc and checked
+ * on every served request of bench/layers' served_mix workload.
  *
  * Determinism: run() serializes sweep execution under an engine
  * mutex (concurrent CLIENTS are served concurrently at the

@@ -23,8 +23,8 @@
  * per-reference simulate loop. Instrumentation sites tick metrics at
  * design-point or file granularity (a handful of relaxed atomic adds
  * per point), which is unmeasurable next to the millions of
- * simulated references each point costs — verified by
- * bench_sweep_timing against the pre-instrumentation baseline.
+ * simulated references each point costs (bench/layers measures the
+ * sweep end to end with the instrumentation in place).
  */
 
 #ifndef TLC_UTIL_METRICS_HH

@@ -18,9 +18,10 @@
  * Overhead discipline: the profiler is disabled by default. A
  * ScopedTimer constructed while disabled reads one relaxed atomic
  * and never touches the clock, so instrumented code paths cost
- * nothing measurable when observability is off (the acceptance bar
- * bench_sweep_timing checks). Timers also sit at phase granularity —
- * once per design point or file, never per simulated reference.
+ * nothing measurable when observability is off (bench/layers reports
+ * the enabled cost as bench.tracing_overhead_frac). Timers also sit
+ * at phase granularity — once per design point or file, never per
+ * simulated reference.
  */
 
 #ifndef TLC_UTIL_PROFILER_HH

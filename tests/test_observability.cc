@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -443,6 +444,80 @@ TEST(Progress, SweepSlicesLandOnTheActiveRecorder)
         ++design_points;
     EXPECT_EQ(design_points, points.size());
     EXPECT_NE(json.find("\"cat\": \"sim-batch\""), std::string::npos);
+}
+
+// ------------------------------------------------------ reference sweep
+
+TEST(ReferenceSweep, CountersAndPhaseCallsArePinned)
+{
+    // The reference sweep: every workload over the full design space
+    // at 1 M refs per trace. One worker thread fixes the batch split
+    // (two batch groups per workload) and the timing memo's
+    // hit/miss split, so every count below is exact. A counter that
+    // stops ticking, ticks twice, or a phase that disappears shows
+    // up here as a diff.
+    setParallelWorkerCount(1);
+    MetricsRegistry &m = MetricsRegistry::global();
+    m.resetAll();
+    Profiler &prof = Profiler::global();
+    prof.reset();
+    const bool wasEnabled = prof.enabled();
+    prof.setEnabled(true);
+
+    MissRateEvaluator ev(1000000);
+    Explorer ex(ev);
+    SystemAssumptions a;
+    FailureReport report;
+    std::size_t points = 0;
+    for (Benchmark b : Workloads::all())
+        points += ex.sweep(b, a, true, true, &report).size();
+    prof.setEnabled(wasEnabled);
+    setParallelWorkerCount(0);
+
+    EXPECT_EQ(Workloads::all().size(), 7u);
+    EXPECT_EQ(points, 315u);
+    EXPECT_TRUE(report.empty());
+
+    const std::map<std::string, std::uint64_t> counters = {
+        {"cache.l1.hits", 255593796},
+        {"cache.l1d.misses", 16588646},
+        {"cache.l1i.misses", 11317558},
+        {"cache.l2.exclusive_swaps", 0},
+        {"cache.l2.hits", 12660599},
+        {"cache.l2.misses", 15245605},
+        {"cache.offchip.writebacks", 5918179},
+        {"cache.refs.data", 73797750},
+        {"cache.refs.instr", 209702250},
+        {"cache.simulations", 315},
+        {"explore.batch.fast_lanes", 315},
+        {"explore.batch.generic_lanes", 0},
+        {"explore.batch.groups", 14},
+        {"explore.batch.lanes", 315},
+        {"explore.missrate_cache.hits", 0},
+        {"explore.missrate_cache.misses", 315},
+        {"explore.points.failed", 0},
+        {"explore.points.priced", 315},
+        {"explore.sweeps", 7},
+        {"explore.timing_cache.hits", 1117},
+        {"explore.timing_cache.misses", 17},
+        {"trace.synthetic.generated", 7},
+        {"trace.synthetic.records", 7000000},
+    };
+    for (const auto &[name, value] : counters)
+        EXPECT_EQ(m.counter(name).value(), value) << name;
+
+    const std::map<std::string, std::uint64_t> calls = {
+        {phase::kModelArea, 315}, {phase::kModelTiming, 17},
+        {phase::kModelTpi, 315},  {phase::kSimBatch, 14},
+        {phase::kTraceLoad, 7},
+    };
+    const auto phases = prof.snapshot();
+    EXPECT_EQ(phases.size(), calls.size());
+    for (const auto &[name, n] : calls) {
+        auto it = phases.find(name);
+        ASSERT_NE(it, phases.end()) << name;
+        EXPECT_EQ(it->second.calls, n) << name;
+    }
 }
 
 // ------------------------------------------------------------ manifest

@@ -38,6 +38,8 @@
 #include "util/result_store.hh"
 #include "util/units.hh"
 
+#include "reference_grid.hh"
+
 using namespace tlc;
 
 namespace {
@@ -68,24 +70,6 @@ writeFile(const std::string &path, const std::string &bytes)
 {
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-/** The 64-point reference grid of bench/batch_sweep_timing.cc. */
-std::vector<SystemConfig>
-makeGrid()
-{
-    std::vector<SystemConfig> configs;
-    for (std::uint64_t l1 = 1_KiB; l1 <= 128_KiB; l1 *= 2) {
-        SystemConfig c;
-        c.l1Bytes = l1;
-        c.l2Bytes = 0;
-        configs.push_back(c);
-        for (std::uint64_t ratio = 2; ratio <= 128; ratio *= 2) {
-            c.l2Bytes = l1 * ratio;
-            configs.push_back(c);
-        }
-    }
-    return configs;
 }
 
 struct SweepResult
@@ -482,7 +466,7 @@ TEST(SweepCache, StorePayloadLayoutIsPinned)
 
 TEST(ResultStoreDifferential, WarmResweepIsByteIdenticalAndTenTimesFaster)
 {
-    std::vector<SystemConfig> grid = makeGrid();
+    std::vector<SystemConfig> grid = referenceGrid();
     ASSERT_EQ(grid.size(), 64u);
     std::string path = tempPath("tlc_diff_warm.tlrs");
 
@@ -505,7 +489,7 @@ TEST(ResultStoreDifferential, WarmResweepIsByteIdenticalAndTenTimesFaster)
 
 TEST(ResultStoreDifferential, KilledAndResumedSweepMatchesUninterrupted)
 {
-    std::vector<SystemConfig> grid = makeGrid();
+    std::vector<SystemConfig> grid = referenceGrid();
     std::string path = tempPath("tlc_diff_resume.tlrs");
 
     // "Kill" a sweep after 23 of 64 points: run only a prefix, then
@@ -529,7 +513,7 @@ TEST(ResultStoreDifferential, KilledAndResumedSweepMatchesUninterrupted)
 
 TEST(ResultStoreDifferential, CorruptedEntryIsResimulatedAndSweepCompletes)
 {
-    std::vector<SystemConfig> grid = makeGrid();
+    std::vector<SystemConfig> grid = referenceGrid();
     std::string path = tempPath("tlc_diff_corrupt.tlrs");
 
     SweepResult baseline = runSweep(Benchmark::Gcc1, grid);

@@ -18,13 +18,16 @@
  *    from the persistent store;
  *  - a live daemon serves N concurrent clients the same bytes, keeps
  *    a connection usable after a bad request (error event, no
- *    disconnect), and stop() drains cleanly and unlinks the socket.
+ *    disconnect), joins each connection's thread once the client
+ *    hangs up, and stop() drains cleanly and unlinks the socket.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -113,6 +116,49 @@ decodeError(const std::string &text, std::string *message = nullptr)
     if (message)
         *message = spec.status().message();
     return spec.status().code();
+}
+
+/** Open a raw client connection to @p socket_path (-1 on failure). */
+int
+connectTo(const std::string &socket_path)
+{
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s",
+                  socket_path.c_str());
+    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                  sizeof(addr)) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+/** Live threads of this process. */
+std::size_t
+taskCount()
+{
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto &e :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        ++n;
+    return n;
+}
+
+/** Memory mappings of this process. An exited but unjoined thread
+ *  leaves /proc/self/task at once, yet keeps its stack (and guard
+ *  page) mapped until it is joined. */
+std::size_t
+mappingCount()
+{
+    std::ifstream maps("/proc/self/maps");
+    std::size_t n = 0;
+    for (std::string line; std::getline(maps, line);)
+        ++n;
+    return n;
 }
 
 /** Patch one "key": ... line of a canonical request document. */
@@ -443,15 +489,8 @@ TEST(SweepDaemon, BadRequestKeepsTheConnectionUsable)
 
     // Raw connection: a garbage frame, then a real request, without
     // reconnecting in between.
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s",
-                  daemon.socketPath().c_str());
-    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    int fd = connectTo(daemon.socketPath());
     ASSERT_GE(fd, 0);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                        sizeof(addr)),
-              0);
 
     auto readEvents = [&](auto done) {
         FrameReader frames;
@@ -486,6 +525,46 @@ TEST(SweepDaemon, BadRequestKeepsTheConnectionUsable)
     });
 
     ::close(fd);
+    daemon.stop();
+}
+
+TEST(SweepDaemon, FinishedConnectionThreadsAreJoined)
+{
+    SweepService svc;
+    ASSERT_TRUE(svc.init().ok());
+    SweepDaemon daemon(svc, tempPath("tlcd_reap.sock"));
+    ASSERT_TRUE(daemon.start().ok());
+
+    auto openAndClose = [&] {
+        int fd = connectTo(daemon.socketPath());
+        ASSERT_GE(fd, 0);
+        ::close(fd);
+    };
+    // Warm up with one connection and give the accept loop a poll
+    // tick to join its thread, so the baseline already holds what
+    // the allocator and thread library keep after one connection
+    // thread has come and gone.
+    openAndClose();
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    const std::size_t tasks = taskCount();
+    const std::size_t maps = mappingCount();
+
+    constexpr int kConnections = 64;
+    for (int i = 0; i < kConnections; ++i)
+        openAndClose();
+
+    // O(1) slack: the thread library caches a few freed stacks, but
+    // 64 unjoined threads would keep 64 stacks (two mappings each).
+    bool settled = false;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!settled && std::chrono::steady_clock::now() < deadline) {
+        settled = taskCount() <= tasks + 2 && mappingCount() <= maps + 16;
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    EXPECT_TRUE(settled) << "threads " << tasks << " -> " << taskCount()
+                         << ", mappings " << maps << " -> "
+                         << mappingCount();
     daemon.stop();
 }
 

@@ -43,7 +43,8 @@
 #include "util/metrics.hh"
 #include "util/result_store.hh"
 #include "util/supervisor.hh"
-#include "util/units.hh"
+
+#include "reference_grid.hh"
 
 using namespace tlc;
 
@@ -60,24 +61,6 @@ tempPath(const std::string &name)
     std::string path = ::testing::TempDir() + name;
     std::remove(path.c_str());
     return path;
-}
-
-/** The 64-point reference grid of bench/batch_sweep_timing.cc. */
-std::vector<SystemConfig>
-makeGrid()
-{
-    std::vector<SystemConfig> configs;
-    for (std::uint64_t l1 = 1_KiB; l1 <= 128_KiB; l1 *= 2) {
-        SystemConfig c;
-        c.l1Bytes = l1;
-        c.l2Bytes = 0;
-        configs.push_back(c);
-        for (std::uint64_t ratio = 2; ratio <= 128; ratio *= 2) {
-            c.l2Bytes = l1 * ratio;
-            configs.push_back(c);
-        }
-    }
-    return configs;
 }
 
 struct SweepResult
@@ -302,7 +285,7 @@ TEST(Supervisor, BackoffIsDeterministicBoundedAndJittered)
 
 TEST(ShardRunner, CleanSupervisedSweepMatchesInProcess)
 {
-    const auto grid = makeGrid();
+    const auto grid = referenceGrid();
     SweepResult clean = runInProcess(grid);
     SweepResult sup = runSupervised(grid, testOptions());
     expectIdentical(clean, sup);
@@ -313,7 +296,7 @@ TEST(ShardRunner, CleanSupervisedSweepMatchesInProcess)
 
 TEST(ShardRunner, PermanentCrashQuarantinesExactlyThatPoint)
 {
-    const auto grid = makeGrid();
+    const auto grid = referenceGrid();
     const std::uint32_t poisoned = 12;
     SweepResult clean = runInProcess(grid);
 
@@ -341,9 +324,16 @@ TEST(ShardRunner, PermanentCrashQuarantinesExactlyThatPoint)
     EXPECT_EQ(sup.failures[0].status.code(), StatusCode::WorkerCrash);
     EXPECT_NE(sup.failures[0].status.message().find("quarantined"),
               std::string::npos);
+    // The recovery drill's accounting, pinned exactly: it depends
+    // only on the grid, the shard size, the retry budget and the
+    // poisoned index, never on the trace length.
+    EXPECT_EQ(sup.points.size(), 63u);
     EXPECT_EQ(sup.stats.quarantined, 1u);
-    EXPECT_GE(sup.stats.bisections, 1u);
-    EXPECT_GE(sup.stats.crashes, 2u);
+    EXPECT_EQ(sup.stats.attempts, 11u);
+    EXPECT_EQ(sup.stats.crashes, 6u);
+    EXPECT_EQ(sup.stats.shards, 8u);
+    EXPECT_EQ(sup.stats.retries, 3u);
+    EXPECT_EQ(sup.stats.bisections, 2u);
     // A quarantined point is a per-point failure like an invalid
     // config, so it counts in explore.points.failed.
     EXPECT_EQ(failedPoints.value() - failedBefore, 1u);
@@ -351,7 +341,7 @@ TEST(ShardRunner, PermanentCrashQuarantinesExactlyThatPoint)
 
 TEST(ShardRunner, TransientCrashIsAbsorbedByRetry)
 {
-    const auto grid = makeGrid();
+    const auto grid = referenceGrid();
     SweepResult clean = runInProcess(grid);
 
     SupervisorOptions opts = testOptions();
@@ -368,7 +358,7 @@ TEST(ShardRunner, TransientCrashIsAbsorbedByRetry)
 
 TEST(ShardRunner, TransientHangIsKilledAndRetried)
 {
-    const auto grid = makeGrid();
+    const auto grid = referenceGrid();
     SweepResult clean = runInProcess(grid);
 
     SupervisorOptions opts = testOptions();
@@ -385,7 +375,7 @@ TEST(ShardRunner, TransientHangIsKilledAndRetried)
 
 TEST(ShardRunner, TornStreamKeepsDeliveredResultsAndRetriesTheRest)
 {
-    const auto grid = makeGrid();
+    const auto grid = referenceGrid();
     SweepResult clean = runInProcess(grid);
 
     SupervisorOptions opts = testOptions();
@@ -409,7 +399,7 @@ TEST(ShardRunner, ReportAggregationAcrossRetriesAndBisection)
     // input-index order — with exactly one quarantine entry
     // inserted at the poisoned point's position, however many
     // retries and bisections it took to isolate it.
-    auto grid = makeGrid();
+    auto grid = referenceGrid();
     SystemConfig bad;
     bad.l1Bytes = 3000; // not a power of two: fails check()
     bad.l2Bytes = 0;
@@ -462,7 +452,7 @@ TEST(ShardRunner, ReportAggregationAcrossRetriesAndBisection)
 
 TEST(ShardRunner, SigkilledSupervisorResumesByteIdentical)
 {
-    const auto grid = makeGrid();
+    const auto grid = referenceGrid();
     const std::string storePath =
         tempPath("tlc_supervisor_resume.tlrs");
     SweepResult clean = runInProcess(grid);

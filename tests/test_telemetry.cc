@@ -38,31 +38,14 @@
 #include "util/parallel.hh"
 #include "util/profiler.hh"
 #include "util/trace_event.hh"
-#include "util/units.hh"
+
+#include "reference_grid.hh"
 
 using namespace tlc;
 
 namespace {
 
 constexpr std::uint64_t kRefs = 50000;
-
-/** The 64-point reference grid of bench/batch_sweep_timing.cc. */
-std::vector<SystemConfig>
-makeGrid()
-{
-    std::vector<SystemConfig> configs;
-    for (std::uint64_t l1 = 1_KiB; l1 <= 128_KiB; l1 *= 2) {
-        SystemConfig c;
-        c.l1Bytes = l1;
-        c.l2Bytes = 0;
-        configs.push_back(c);
-        for (std::uint64_t ratio = 2; ratio <= 128; ratio *= 2) {
-            c.l2Bytes = l1 * ratio;
-            configs.push_back(c);
-        }
-    }
-    return configs;
-}
 
 SupervisorOptions
 testOptions()
@@ -159,7 +142,7 @@ TEST(Telemetry, SupervisedRollupsEqualInProcessCounters)
     // The clean grid, and the grid plus one invalid configuration
     // (a non-power-of-two L1) so the failure path of the shared
     // collection step is compared too.
-    std::vector<SystemConfig> grid = makeGrid();
+    std::vector<SystemConfig> grid = referenceGrid();
     std::vector<SystemConfig> salted = grid;
     SystemConfig bad;
     bad.l1Bytes = 3000;
@@ -183,7 +166,9 @@ TEST(Telemetry, SupervisedRollupsEqualInProcessCounters)
         setParallelWorkerCount(0);
 
         ASSERT_EQ(inproc.points.size(), sup.points.size());
-        EXPECT_FALSE(reference.empty());
+        // Every cache.* and explore.* counter the sweep registers;
+        // the salted grid adds explore.failures.recorded.
+        EXPECT_EQ(reference.size(), configs == &grid ? 21u : 22u);
         EXPECT_EQ(reference, rollup);
         ASSERT_EQ(inproc.failures.size(), configs == &grid ? 0u : 1u);
         const auto failed = rollup.find("explore.points.failed");
@@ -202,7 +187,7 @@ TEST(Telemetry, SupervisedRollupsEqualInProcessCounters)
 
 TEST(Telemetry, WorkerNamespacesAndPhaseStatsMerge)
 {
-    const auto grid = makeGrid();
+    const auto grid = referenceGrid();
     MetricsRegistry::global().resetAll();
     Profiler::global().reset();
     const bool wasEnabled = Profiler::global().enabled();
@@ -213,24 +198,35 @@ TEST(Telemetry, WorkerNamespacesAndPhaseStatsMerge)
 
     // 64 points / 32 per shard = 2 clean worker attempts, each
     // streaming one metrics, one phases and one flight frame.
+    EXPECT_EQ(sup.stats.shards, 2u);
     EXPECT_EQ(sup.stats.attempts, 2u);
     EXPECT_EQ(sup.stats.metricFrames, 2u);
     EXPECT_EQ(sup.stats.phaseFrames, 2u);
     EXPECT_EQ(sup.stats.flightFrames, 2u);
 
-    // Every attempt put its simulation counts under worker.<id>.*.
+    // Every attempt put its simulation counts under worker.<id>.*:
+    // 15 counters for each of this sweep's two workers. (Worker ids
+    // are unique per process, so earlier tests' namespaces, which
+    // resetAll keeps registered, are not counted.)
+    std::vector<std::string> prefixes;
+    for (const ShardTimeline &shard : sup.timeline)
+        for (const ShardAttempt &attempt : shard.attempts)
+            prefixes.push_back("worker." +
+                               std::to_string(attempt.workerId) + ".");
+    ASSERT_EQ(prefixes.size(), 2u);
     std::uint64_t namespaced = 0;
     bool sawWorkerCacheHits = false;
     for (const auto &[name, value] :
          MetricsRegistry::global().counterValues()) {
-        if (name.rfind("worker.", 0) == 0) {
+        for (const std::string &prefix : prefixes) {
+            if (name.rfind(prefix, 0) != 0)
+                continue;
             ++namespaced;
-            if (name.find(".cache.l1.hits") != std::string::npos &&
-                value > 0)
+            if (name == prefix + "cache.l1.hits" && value > 0)
                 sawWorkerCacheHits = true;
         }
     }
-    EXPECT_GT(namespaced, 0u);
+    EXPECT_EQ(namespaced, 30u);
     EXPECT_TRUE(sawWorkerCacheHits);
 
     // The workers' sim.batch time merged into the parent profiler.
@@ -249,7 +245,7 @@ TEST(Telemetry, WorkerNamespacesAndPhaseStatsMerge)
 
 TEST(Telemetry, CrashQuarantineCarriesFlightContext)
 {
-    const auto grid = makeGrid();
+    const auto grid = referenceGrid();
     SupervisorOptions opts = testOptions();
     opts.pointsPerShard = 4;
     opts.retry.maxRetries = 0;
@@ -283,7 +279,7 @@ TEST(Telemetry, CrashQuarantineCarriesFlightContext)
 
 TEST(Telemetry, HangQuarantineCarriesFlightContext)
 {
-    const auto grid = makeGrid();
+    const auto grid = referenceGrid();
     SupervisorOptions opts = testOptions();
     opts.pointsPerShard = 4;
     opts.retry.maxRetries = 0;
@@ -309,7 +305,7 @@ TEST(Telemetry, HangQuarantineCarriesFlightContext)
 
 TEST(Telemetry, MergedTraceParsesStrictlyWithWorkerTracks)
 {
-    const auto grid = makeGrid();
+    const auto grid = referenceGrid();
     TraceEventRecorder rec;
     TraceEventRecorder::setActive(&rec);
     RunOutput sup = runSupervised(grid, testOptions());
@@ -400,7 +396,7 @@ TEST(Telemetry, FlightRingKeepsNewestWhenWrapping)
 
 TEST(Telemetry, TimelineRecordsAttemptsAndRendersStrictJson)
 {
-    const auto grid = makeGrid();
+    const auto grid = referenceGrid();
     SupervisorOptions opts = testOptions();
     opts.pointsPerShard = 16;
     // A transient crash: first attempt dies at point 12, the retry

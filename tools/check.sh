@@ -15,18 +15,20 @@
 #   tools/check.sh --tier=tsan      # parallel suites under TSan
 #   tools/check.sh --tier=smoke     # bench/example smoke runs, the
 #                                   # observability and result-store
-#                                   # round trips, and the benchmark
-#                                   # regression gate (bench_compare.py)
+#                                   # round trips, the daemon drill, and
+#                                   # bench_layers --workload=all --quick
+#                                   # (output checks + pinned digests)
 #   tools/check.sh --simd=BACKEND   # force the lane-kernel backend
 #                                   # (scalar|avx2|neon|native) for
 #                                   # every test and bench in the tier
 #                                   # by exporting TLC_SIMD; a pre-set
 #                                   # TLC_SIMD in the environment is
 #                                   # honoured the same way
-#   tools/check.sh --artifacts=DIR  # keep the smoke tier's regenerated
-#                                   # BENCH_*.json and the telemetry
-#                                   # --metrics-out dump in DIR for CI
-#                                   # artifact upload
+#   tools/check.sh --artifacts=DIR  # keep the smoke tier's telemetry
+#                                   # --metrics-out dump and manifest,
+#                                   # and the bench_layers --quick
+#                                   # output and its record lines, in
+#                                   # DIR for CI artifact upload
 #
 # Ninja is used when available and CMake's default generator
 # otherwise; ccache is picked up automatically when installed (CI
@@ -405,56 +407,26 @@ EOF
     }
     rm -rf "$svc_dir"
 
-    # The batched engine's speedup claim is only worth checking in if
-    # the equivalence self-check passes (the bench fatals on any
-    # counter mismatch) and the JSON it emits is well-formed.
-    echo "== smoke-running batched sweep timing =="
-    batch_json=$(mktemp)
-    TLC_TRACE_SCALE=0.05 build/bench/bench_batch_sweep_timing \
-        > "$batch_json"
-    python3 -c "import json, sys; json.load(open(sys.argv[1]))" \
-        "$batch_json"
-    rm -f "$batch_json"
-
-    # The benchmark regression gate: regenerate the five checked-in
-    # BENCH_*.json documents at their reference settings and compare
-    # against the committed baselines. Counts must match exactly
-    # (the recovery drill's quarantine/retry/bisection counts are
-    # pinned exact by name in bench_compare.py); ratios (speedup, hit
-    # rates) may not regress past the tolerance; absolute seconds are
-    # machine-dependent and ignored. One worker keeps the cache-memo
-    # counters deterministic.
-    echo "== benchmark regression gate (bench_compare.py) =="
-    gate_dir=$(mktemp -d)
-    TLC_THREADS=1 build/bench/bench_sweep_timing \
-        > "$gate_dir/sweep.json"
-    TLC_THREADS=1 build/bench/bench_batch_sweep_timing \
-        > "$gate_dir/batch.json"
-    TLC_THREADS=1 build/bench/bench_observability_snapshot \
-        > "$gate_dir/observability.json"
-    TLC_THREADS=1 build/bench/bench_supervisor_recovery \
-        > "$gate_dir/recovery.json" 2>/dev/null
-    TLC_THREADS=1 build/bench/bench_service_throughput \
-        > "$gate_dir/service.json" 2>/dev/null
-    python3 tools/bench_compare.py BENCH_sweep.json \
-        "$gate_dir/sweep.json"
-    python3 tools/bench_compare.py BENCH_batch.json \
-        "$gate_dir/batch.json"
-    python3 tools/bench_compare.py BENCH_observability.json \
-        "$gate_dir/observability.json"
-    python3 tools/bench_compare.py BENCH_recovery.json \
-        "$gate_dir/recovery.json"
-    python3 tools/bench_compare.py BENCH_service.json \
-        "$gate_dir/service.json"
+    # The layered benchmark (bench/layers/README.md), built as its own
+    # project and run once over every workload in quick mode. It exits
+    # nonzero on any failed output check: every HierarchyStats field
+    # of all five workloads, batch against solo, warm served responses
+    # against cold ones, and each seed-0 digest against pins.json.
+    # Timings are printed, never gated here.
+    echo "== smoke-running bench_layers --workload=all --quick =="
+    configure build/layers -S bench/layers
+    cmake --build build/layers --target bench_layers
+    layers_out=$(mktemp)
+    build/layers/bench_layers --workload=all --quick > "$layers_out" || {
+        cat "$layers_out"
+        echo "bench_layers --quick failed a check or a pinned digest" >&2
+        exit 1
+    }
     if [ -n "$artifacts" ]; then
-        # Keep the regenerated documents under their committed names
-        # so a CI artifact download drops straight onto the repo when
-        # a baseline update is intentional.
-        for doc in sweep batch observability recovery service; do
-            cp "$gate_dir/$doc.json" "$artifacts/BENCH_$doc.json"
-        done
+        cp "$layers_out" "$artifacts/bench_layers_quick.txt"
+        grep '^record ' "$layers_out" > "$artifacts/bench_layers.records"
     fi
-    rm -rf "$gate_dir"
+    rm -f "$layers_out"
 }
 
 case "$tier" in
