@@ -85,19 +85,22 @@ SimGroup::addTwoLevel(const CacheParams &l1_params,
     // flat flavours share or re-stride state in ways that are only
     // equivalent to a solo run when the lane starts cold.
     bool flat = l1_params.ways() == 1 &&
-                policy != TwoLevelPolicy::Exclusive &&
                 l1_params.lineBytes == l2_params.lineBytes && !accessed_;
-    if (flat && policy == TwoLevelPolicy::Inclusive) {
-        // Non-strict inclusion: the L2 never writes back into L1
-        // state, so lanes sharing an L1 geometry share one simulated
-        // L1 and fan out over the recorded miss stream.
+    if (flat && policy != TwoLevelPolicy::StrictInclusive) {
+        // Non-strict inclusion and §8 exclusion: the L2 never writes
+        // back into L1 state (the L1 only fills on a miss), so lanes
+        // sharing an L1 geometry share one simulated L1 and fan out
+        // over the recorded miss stream.
         lanes::SharedL1Group &g = sharedGroupFor(l1_params);
-        g.subs.emplace_back(l2_params, seed + 2);
+        bool excl = policy == TwoLevelPolicy::Exclusive;
+        std::vector<lanes::SharedL1Group::Sub> &subs =
+            excl ? g.exclSubs : g.subs;
+        subs.emplace_back(l2_params, seed + 2);
         std::uint32_t group =
             static_cast<std::uint32_t>(&g - sharedGroups_.data());
-        lanes_.push_back(
-            {LaneKind::SharedSub, group,
-             static_cast<std::uint32_t>(g.subs.size() - 1)});
+        lanes_.push_back({excl ? LaneKind::SharedExcl : LaneKind::SharedSub,
+                          group,
+                          static_cast<std::uint32_t>(subs.size() - 1)});
     } else if (flat) {
         // Strict inclusion back-invalidates L1 lines, so each lane
         // keeps a private L1 — interleaved with its same-geometry
@@ -169,6 +172,8 @@ SimGroup::resetStats()
         group.singleStats = HierarchyStats{};
         for (lanes::SharedL1Group::Sub &s : group.subs)
             s.stats = HierarchyStats{};
+        for (lanes::SharedL1Group::Sub &s : group.exclSubs)
+            s.stats = HierarchyStats{};
     }
     for (lanes::StrictLaneBlock &blk : strictBlocks_) {
         for (HierarchyStats &s : blk.stats)
@@ -188,6 +193,8 @@ SimGroup::stats(std::size_t lane) const
         return sharedGroups_[ref.index].singleStats;
       case LaneKind::SharedSub:
         return sharedGroups_[ref.index].subs[ref.sub].stats;
+      case LaneKind::SharedExcl:
+        return sharedGroups_[ref.index].exclSubs[ref.sub].stats;
       case LaneKind::Strict:
         return strictBlocks_[ref.index].stats[ref.sub];
       case LaneKind::Generic:

@@ -22,16 +22,18 @@
  *
  *  - SharedL1Group — all lanes over one direct-mapped L1 geometry
  *    whose L2 side never reaches back into the L1: plain-inclusive
- *    two-level lanes (private L2s replayed from a shared miss
- *    queue) and L1-only lanes (bit-identical, one shared stats
- *    block). An L2-capacity sweep over a fixed L1 costs one L1
- *    simulation instead of N.
+ *    and §8 exclusive two-level lanes (private L2s replayed from a
+ *    shared miss queue, with a refill or a swap step respectively)
+ *    and L1-only lanes (bit-identical, one shared stats block). An
+ *    L2-capacity sweep over a fixed L1 costs one L1 simulation
+ *    instead of N.
  *  - StrictLaneBlock — strict-inclusive lanes, which need private
  *    L1s (back-invalidation), interleaved so one vector probe per
  *    record answers every lane's L1 lookup at once.
- *  - Generic lanes wrapping any Hierarchy (exclusive two-level,
- *    victim cache, stream buffer, associative L1s) accessed
- *    record-by-record through the virtual interface.
+ *  - Generic lanes wrapping any Hierarchy (victim cache, stream
+ *    buffer, associative L1s, mismatched L1/L2 line sizes, lanes
+ *    added after the first record) accessed record-by-record
+ *    through the virtual interface.
  *
  * Equivalence contract: every lane produces HierarchyStats
  * byte-identical to running the corresponding Hierarchy alone over
@@ -77,9 +79,12 @@ class SimGroup
                                std::uint64_t seed = 1);
 
     /**
-     * Add a two-level system (TwoLevelHierarchy semantics). Uses the
-     * flat fast path for inclusive/strict-inclusive policies over a
-     * direct-mapped L1; exclusive caching takes the generic path.
+     * Add a two-level system (TwoLevelHierarchy semantics). Every
+     * policy uses the flat fast path when the L1 is direct-mapped,
+     * both levels share one line size and no records have run yet:
+     * inclusive and exclusive lanes join the SharedL1Group of their
+     * L1 geometry, strict-inclusive lanes a StrictLaneBlock. Other
+     * shapes take the generic path.
      * @return the new lane's index.
      */
     std::size_t addTwoLevel(const CacheParams &l1_params,
@@ -119,6 +124,7 @@ class SimGroup
     enum class LaneKind : std::uint8_t {
         SharedSingle, ///< L1-only member of a SharedL1Group
         SharedSub,    ///< plain-inclusive member of a SharedL1Group
+        SharedExcl,   ///< exclusive member of a SharedL1Group
         Strict,       ///< lane inside a StrictLaneBlock
         Generic
     };
@@ -143,8 +149,9 @@ class SimGroup
     std::vector<lanes::StrictLaneBlock> strictBlocks_;
     std::vector<std::unique_ptr<Hierarchy>> genericLanes_;
     /**
-     * Set once records have been driven; strict lanes added after
-     * that point fall back to the generic path, because growing a
+     * Set once records have been driven; lanes added after that
+     * point fall back to the generic path, because joining a
+     * SharedL1Group would inherit its warm L1 and growing a
      * StrictLaneBlock re-strides tag state that is no longer zero.
      */
     bool accessed_ = false;

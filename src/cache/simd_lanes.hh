@@ -8,16 +8,19 @@
  * arranged structure-of-arrays so the kernels can vectorize:
  *
  *  - SharedL1Group: every lane sharing one direct-mapped L1 geometry
- *    — plain-inclusive two-level lanes AND L1-only lanes — walks the
- *    trace through ONE simulated L1. L1-only members are bit-identical
- *    to each other (a direct-mapped cache has no replacement state),
- *    so they share a single stats block. Two-level members differ only
- *    below the L1, so the kernel records each L1 miss once (address,
- *    victim address, victim-dirty) in a miss queue and replays the
- *    queue per member L2, sub-major: each L2's tag state stays hot
- *    across a whole block of misses instead of being re-fetched per
- *    record, and the replay loop is where the vectorized L2 tag
- *    compare runs. Replaying in record order per sub keeps every
+ *    — plain-inclusive and exclusive two-level lanes AND L1-only
+ *    lanes — walks the trace through ONE simulated L1. L1-only
+ *    members are bit-identical to each other (a direct-mapped cache
+ *    has no replacement state), so they share a single stats block.
+ *    Two-level members differ only below the L1 — neither policy
+ *    lets the L2 reach back into L1 state — so the kernel records
+ *    each L1 miss once (line, victim line, victim valid/dirty flags)
+ *    in a miss queue and replays the queue per member L2, sub-major:
+ *    each L2's tag state stays hot across a whole block of misses
+ *    instead of being re-fetched per record, and the replay loop is
+ *    where the vectorized L2 tag compare runs. Inclusive and
+ *    exclusive members differ only in that replay step (refill vs
+ *    the §8 swap). Replaying in record order per sub keeps every
  *    member's operation (and RNG draw) sequence identical to a solo
  *    run — subs are independent, so inter-sub order is unobservable.
  *
@@ -270,15 +273,19 @@ struct L1Miss
      *  the walk shifts once and the replay never shifts at all. */
     std::uint32_t line = 0;       ///< the missing reference's line
     std::uint32_t victimLine = 0; ///< evicted L1 line
-    std::uint32_t victimDirty = 0;
+    /** The evicted L1 tag word's kValid|kDirty bits. Inclusive
+     *  replay acts on dirty victims only; exclusive replay inserts
+     *  every valid one into the L2. */
+    std::uint32_t victimFlags = 0;
 };
 
 /**
  * All lanes sharing one direct-mapped L1 geometry whose L2 side (if
  * any) never reaches back into the L1: plain-inclusive two-level
- * lanes as subs, L1-only lanes as a shared member count. The L1 tag
- * state is split-interleaved ([set*2] = I, [set*2+1] = D) exactly as
- * the solo hierarchies see it.
+ * lanes as subs, exclusive two-level lanes as exclSubs, L1-only
+ * lanes as a shared member count. The L1 tag state is
+ * split-interleaved ([set*2] = I, [set*2+1] = D) exactly as the solo
+ * hierarchies see it.
  */
 struct SharedL1Group
 {
@@ -287,7 +294,7 @@ struct SharedL1Group
     std::uint32_t setMask = 0;
     TagVector l1Entries;
 
-    /** One plain-inclusive two-level member: a private L2 + stats. */
+    /** One two-level member: a private L2 + stats. */
     struct Sub
     {
         FlatCache l2;
@@ -299,6 +306,14 @@ struct SharedL1Group
         }
     };
     std::vector<Sub> subs;
+    /**
+     * Exclusive (§8) members. The solo model's L1 only ever fills
+     * on a miss, exactly as under inclusion, so these see the same
+     * miss stream as subs; only their replay step differs — the L1
+     * victim is inserted into the L2, displacing the promoted line
+     * when both share a set (the swap).
+     */
+    std::vector<Sub> exclSubs;
 
     /**
      * L1-only members. Same geometry + no replacement state means

@@ -43,6 +43,17 @@ struct EvalMetrics
     }
 };
 
+/** Options for the (trace_refs, warmup_fraction) constructor; every
+ *  other field keeps its default. */
+EvaluatorOptions
+optionsFor(std::uint64_t trace_refs, double warmup_fraction)
+{
+    EvaluatorOptions o;
+    o.traceRefs = trace_refs;
+    o.warmupFraction = warmup_fraction;
+    return o;
+}
+
 } // namespace
 
 Expected<const TraceBuffer *>
@@ -87,7 +98,7 @@ MissRateEvaluator::MissRateEvaluator(EvaluatorOptions options)
 
 MissRateEvaluator::MissRateEvaluator(std::uint64_t trace_refs,
                                      double warmup_fraction)
-    : MissRateEvaluator(EvaluatorOptions{trace_refs, warmup_fraction, {}})
+    : MissRateEvaluator(optionsFor(trace_refs, warmup_fraction))
 {
 }
 

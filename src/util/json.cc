@@ -399,31 +399,29 @@ struct Parser
     Status error; ///< first failure, with byte offset context
     const char *begin;
 
-    Status fail(const char *what)
+    /** Record the first failure; always false, so parse steps can
+     *  `return fail("...")`. */
+    bool fail(const char *what)
     {
         if (error.ok()) {
             error = statusf(StatusCode::ParseError,
                             "JSON parse error at byte %zu: %s",
                             static_cast<std::size_t>(c.p - begin), what);
         }
-        return error;
+        return false;
     }
 
     bool parseString(std::string &out)
     {
-        if (!c.consume('"')) {
-            fail("expected a string");
-            return false;
-        }
+        if (!c.consume('"'))
+            return fail("expected a string");
         out.clear();
         while (!c.eof()) {
             unsigned char ch = static_cast<unsigned char>(*c.p++);
             if (ch == '"')
                 return true;
-            if (ch < 0x20) {
-                fail("raw control character in string");
-                return false;
-            }
+            if (ch < 0x20)
+                return fail("raw control character in string");
             if (ch != '\\') {
                 out += static_cast<char>(ch);
                 continue;
@@ -462,32 +460,25 @@ struct Parser
                     return false;
                 if (cp >= 0xD800 && cp <= 0xDBFF) {
                     // High surrogate: require the matching low half.
-                    if (!c.literal("\\u")) {
-                        fail("lone high surrogate in \\u escape");
-                        return false;
-                    }
+                    if (!c.literal("\\u"))
+                        return fail("lone high surrogate in \\u escape");
                     unsigned lo = 0;
                     if (!parseHex4(lo))
                         return false;
-                    if (lo < 0xDC00 || lo > 0xDFFF) {
-                        fail("invalid low surrogate in \\u escape");
-                        return false;
-                    }
+                    if (lo < 0xDC00 || lo > 0xDFFF)
+                        return fail("invalid low surrogate in \\u escape");
                     cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
                 } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
-                    fail("lone low surrogate in \\u escape");
-                    return false;
+                    return fail("lone low surrogate in \\u escape");
                 }
                 appendUtf8(out, cp);
                 break;
               }
               default:
-                fail("invalid escape character");
-                return false;
+                return fail("invalid escape character");
             }
         }
-        fail("unterminated string");
-        return false;
+        return fail("unterminated string");
     }
 
     bool parseHex4(unsigned &out)
@@ -495,10 +486,8 @@ struct Parser
         unsigned v = 0;
         for (int i = 0; i < 4; ++i) {
             if (c.eof() ||
-                !std::isxdigit(static_cast<unsigned char>(*c.p))) {
-                fail("invalid \\u escape");
-                return false;
-            }
+                !std::isxdigit(static_cast<unsigned char>(*c.p)))
+                return fail("invalid \\u escape");
             char h = *c.p++;
             unsigned d;
             if (h >= '0' && h <= '9')
@@ -535,10 +524,8 @@ struct Parser
     bool parseNumber(JsonValue &out)
     {
         const char *start = c.p;
-        if (!checkNumber(c)) {
-            fail("invalid number");
-            return false;
-        }
+        if (!checkNumber(c))
+            return fail("invalid number");
         std::string digits(start, c.p);
         out = JsonValue::makeNumber(std::strtod(digits.c_str(), nullptr));
         return true;
@@ -546,15 +533,11 @@ struct Parser
 
     bool parseValue(JsonValue &out, int depth)
     {
-        if (depth > kMaxParseDepth) {
-            fail("nesting deeper than 64 levels");
-            return false;
-        }
+        if (depth > kMaxParseDepth)
+            return fail("nesting deeper than 64 levels");
         c.skipWs();
-        if (c.eof()) {
-            fail("unexpected end of document");
-            return false;
-        }
+        if (c.eof())
+            return fail("unexpected end of document");
         switch (c.peek()) {
           case '{': {
             ++c.p;
@@ -570,16 +553,12 @@ struct Parser
                 if (!parseString(key))
                     return false;
                 for (const auto &m : members) {
-                    if (m.first == key) {
-                        fail("duplicate object key");
-                        return false;
-                    }
+                    if (m.first == key)
+                        return fail("duplicate object key");
                 }
                 c.skipWs();
-                if (!c.consume(':')) {
-                    fail("expected ':' after object key");
-                    return false;
-                }
+                if (!c.consume(':'))
+                    return fail("expected ':' after object key");
                 JsonValue v;
                 if (!parseValue(v, depth + 1))
                     return false;
@@ -587,10 +566,8 @@ struct Parser
                 c.skipWs();
                 if (c.consume('}'))
                     break;
-                if (!c.consume(',')) {
-                    fail("expected ',' or '}' in object");
-                    return false;
-                }
+                if (!c.consume(','))
+                    return fail("expected ',' or '}' in object");
             }
             out = JsonValue::makeObject(std::move(members));
             return true;
@@ -611,10 +588,8 @@ struct Parser
                 c.skipWs();
                 if (c.consume(']'))
                     break;
-                if (!c.consume(',')) {
-                    fail("expected ',' or ']' in array");
-                    return false;
-                }
+                if (!c.consume(','))
+                    return fail("expected ',' or ']' in array");
             }
             out = JsonValue::makeArray(std::move(items));
             return true;
@@ -627,24 +602,18 @@ struct Parser
             return true;
           }
           case 't':
-            if (!c.literal("true")) {
-                fail("invalid literal");
-                return false;
-            }
+            if (!c.literal("true"))
+                return fail("invalid literal");
             out = JsonValue::makeBool(true);
             return true;
           case 'f':
-            if (!c.literal("false")) {
-                fail("invalid literal");
-                return false;
-            }
+            if (!c.literal("false"))
+                return fail("invalid literal");
             out = JsonValue::makeBool(false);
             return true;
           case 'n':
-            if (!c.literal("null")) {
-                fail("invalid literal");
-                return false;
-            }
+            if (!c.literal("null"))
+                return fail("invalid literal");
             out = JsonValue{};
             return true;
           default:

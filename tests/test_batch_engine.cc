@@ -2,8 +2,8 @@
  * @file
  * Differential tests for the single-pass multi-configuration engine:
  * every SimGroup lane flavour (flat direct-mapped single-level, flat
- * two-level inclusive/strict-inclusive, generic associative L1,
- * exclusive, victim cache, stream buffer) must produce HierarchyStats
+ * two-level inclusive/strict-inclusive/exclusive, generic associative
+ * L1, victim cache, stream buffer) must produce HierarchyStats
  * byte-identical to running the corresponding Hierarchy alone over
  * the same records — including replacement RNG draws, LRU/FIFO stamp
  * ordering and write-back accounting — across warmup boundaries. The
@@ -30,6 +30,7 @@
 #include "core/explorer.hh"
 #include "core/sweep_cache.hh"
 #include "util/parallel.hh"
+#include "util/random.hh"
 #include "util/simd.hh"
 #include "util/units.hh"
 
@@ -63,14 +64,69 @@ expectSameStats(const HierarchyStats &a, const HierarchyStats &b)
     EXPECT_EQ(a.offchipWritebacks, b.offchipWritebacks);
 }
 
+/** Reference result: one Hierarchy simulated alone over @p trace. */
+template <typename H, typename... Args>
+HierarchyStats
+soloOn(const TraceBuffer &trace, std::uint64_t warmup, Args &&...args)
+{
+    H h(std::forward<Args>(args)...);
+    h.simulate(trace, warmup);
+    return h.stats();
+}
+
 /** Reference result: one Hierarchy simulated alone. */
 template <typename H, typename... Args>
 HierarchyStats
 solo(std::uint64_t warmup, Args &&...args)
 {
-    H h(std::forward<Args>(args)...);
-    h.simulate(sharedTrace(), warmup);
-    return h.stats();
+    return soloOn<H>(sharedTrace(), warmup, std::forward<Args>(args)...);
+}
+
+/**
+ * A trace that walks an exclusive hierarchy through each branch of
+ * the §8 swap on purpose, then a pseudo-random tail over a footprint
+ * small enough that every branch recurs many times. Sized for
+ * 16-byte lines and a 64-byte direct-mapped L1 (four slots per side,
+ * line L in slot L % 4) over L2s of at most eight sets, so lines
+ * that are multiples of 8 share L1 slot 0 and L2 set 0.
+ */
+TraceBuffer
+exclusiveCornerTrace()
+{
+    TraceBuffer t;
+    auto ref = [&t](std::uint32_t line, RefType type) {
+        t.append(line * 16, type);
+    };
+    // Cold victims: the first fill of an L1 slot evicts nothing.
+    ref(0, RefType::Store);
+    // 0 (dirty) leaves L1 and is inserted into L2 set 0.
+    ref(8, RefType::Load);
+    // Same-set swap: 0 hits in L2 and victim 8 takes its way,
+    // writing the dirty L2 copy of 0 back off-chip.
+    ref(0, RefType::Load);
+    // One line in both split L1s: 16 fills the cold I slot, then the
+    // D slot (dirty), evicting the clean 0 into L2.
+    ref(16, RefType::Instr);
+    ref(16, RefType::Store);
+    // The I copy of 16 is evicted into L2; then the dirty D copy
+    // finds it already resident and only sets its dirty bit.
+    ref(32, RefType::Instr);
+    ref(48, RefType::Load);
+    // Dirty L2 eviction: ten more set-0 lines pushed through L1D slot
+    // 0 overflow every L2's set 0 (8 ways at most), so a direct-mapped
+    // or LRU/FIFO L2 evicts the dirty 16 by policy — by stamp beyond
+    // kLruFsmMaxWays.
+    for (std::uint32_t k = 0; k < 10; ++k)
+        ref(64 + 8 * k, RefType::Load);
+    Pcg32 rng(7, 1);
+    for (int i = 0; i < 4000; ++i) {
+        std::uint32_t line = rng.nextBounded(48);
+        std::uint32_t kind = rng.nextBounded(4);
+        ref(line, kind == 0   ? RefType::Instr
+                  : kind == 1 ? RefType::Store
+                              : RefType::Load);
+    }
+    return t;
 }
 
 /** Every SIMD backend this host can actually run (scalar always). */
@@ -147,7 +203,8 @@ TEST(SimGroupDifferential, FlatTwoLevelMatchesHierarchy)
         for (ReplPolicy repl :
              {ReplPolicy::Random, ReplPolicy::LRU, ReplPolicy::FIFO})
             for (TwoLevelPolicy policy : {TwoLevelPolicy::Inclusive,
-                                          TwoLevelPolicy::StrictInclusive})
+                                          TwoLevelPolicy::StrictInclusive,
+                                          TwoLevelPolicy::Exclusive})
                 shapes.push_back({assoc, repl, policy});
 
     SimGroup group;
@@ -170,7 +227,7 @@ TEST(SimGroupDifferential, FlatTwoLevelMatchesHierarchy)
     }
 }
 
-TEST(SimGroupDifferential, ExclusiveTakesGenericPathAndMatches)
+TEST(SimGroupDifferential, ExclusiveRunsOnSharedL1AndMatches)
 {
     CacheParams l1;
     l1.sizeBytes = 2_KiB;
@@ -180,11 +237,117 @@ TEST(SimGroupDifferential, ExclusiveTakesGenericPathAndMatches)
     SimGroup group;
     std::size_t lane =
         group.addTwoLevel(l1, l2, TwoLevelPolicy::Exclusive);
-    EXPECT_FALSE(group.laneIsFlat(lane));
+    EXPECT_TRUE(group.laneIsFlat(lane));
     BatchEngine::run(sharedTrace(), kWarmup, group);
     expectSameStats(group.stats(lane),
                     solo<TwoLevelHierarchy>(kWarmup, l1, l2,
                                             TwoLevelPolicy::Exclusive));
+}
+
+TEST(SimGroupDifferential, ExclusiveSwapCornerCases)
+{
+    // Tiny caches over exclusiveCornerTrace(): every exclusive L2
+    // shape must match its solo run under every backend, swaps
+    // included. The 8-way L2 is beyond kLruFsmMaxWays, so its LRU
+    // and FIFO lanes take the stamp fallback instead of the FSM.
+    const TraceBuffer trace = exclusiveCornerTrace();
+    CacheParams l1;
+    l1.sizeBytes = 64;
+    l1.lineBytes = 16;
+    std::vector<CacheParams> l2s;
+    for (auto [size, assoc] : {std::pair<std::uint64_t, std::uint32_t>{
+                                   128, 1},
+                               {128, 2},
+                               {256, 4},
+                               {256, 8}})
+        for (ReplPolicy repl :
+             {ReplPolicy::Random, ReplPolicy::LRU, ReplPolicy::FIFO}) {
+            CacheParams l2;
+            l2.sizeBytes = size;
+            l2.lineBytes = 16;
+            l2.assoc = assoc;
+            l2.repl = repl;
+            l2s.push_back(l2);
+        }
+    std::vector<HierarchyStats> refs;
+    for (const CacheParams &l2 : l2s) {
+        refs.push_back(soloOn<TwoLevelHierarchy>(
+            trace, 0, l1, l2, TwoLevelPolicy::Exclusive));
+        // The trace reaches the swap and the dirty-eviction branches.
+        EXPECT_GT(refs.back().swaps, 0u) << l2.toString();
+        EXPECT_GT(refs.back().offchipWritebacks, 0u) << l2.toString();
+    }
+
+    for (SimdBackend backend : runnableBackends()) {
+        SCOPED_TRACE(simdBackendName(backend));
+        BackendGuard guard(backend);
+        SimGroup group;
+        for (const CacheParams &l2 : l2s)
+            group.addTwoLevel(l1, l2, TwoLevelPolicy::Exclusive);
+        EXPECT_EQ(group.flatLaneCount(), l2s.size());
+        BatchEngine::run(trace, 0, group);
+        for (std::size_t i = 0; i < l2s.size(); ++i) {
+            SCOPED_TRACE(l2s[i].toString());
+            expectSameStats(group.stats(i), refs[i]);
+        }
+    }
+}
+
+TEST(SimGroupDifferential, MixedPoliciesShareOneL1InAnyLaneOrder)
+{
+    // L1-only, inclusive and exclusive lanes over one L1 geometry
+    // all join one SharedL1Group: one L1 walk, one miss queue, two
+    // replay steps. Neither the mix nor the order the lanes were
+    // added in may move any lane's counters.
+    CacheParams l1;
+    l1.sizeBytes = 2_KiB;
+    CacheParams dm;
+    dm.sizeBytes = 16_KiB;
+    CacheParams assoc;
+    assoc.sizeBytes = 16_KiB;
+    assoc.assoc = 4;
+    assoc.repl = ReplPolicy::LRU;
+    struct Lane
+    {
+        bool twoLevel;
+        CacheParams l2;
+        TwoLevelPolicy policy;
+    };
+    const std::vector<Lane> lanes = {
+        {false, {}, TwoLevelPolicy::Inclusive},
+        {true, dm, TwoLevelPolicy::Exclusive},
+        {true, dm, TwoLevelPolicy::Inclusive},
+        {true, assoc, TwoLevelPolicy::Inclusive},
+        {true, assoc, TwoLevelPolicy::Exclusive},
+    };
+    std::vector<HierarchyStats> refs;
+    for (const Lane &l : lanes)
+        refs.push_back(l.twoLevel ? solo<TwoLevelHierarchy>(
+                                        kWarmup, l1, l.l2, l.policy)
+                                  : solo<SingleLevelHierarchy>(kWarmup, l1));
+
+    for (bool reversed : {false, true}) {
+        SCOPED_TRACE(reversed ? "reversed" : "forward");
+        for (SimdBackend backend : runnableBackends()) {
+            SCOPED_TRACE(simdBackendName(backend));
+            BackendGuard guard(backend);
+            SimGroup group;
+            std::vector<std::size_t> index(lanes.size());
+            for (std::size_t k = 0; k < lanes.size(); ++k) {
+                std::size_t i = reversed ? lanes.size() - 1 - k : k;
+                const Lane &l = lanes[i];
+                index[i] = l.twoLevel
+                               ? group.addTwoLevel(l1, l.l2, l.policy)
+                               : group.addSingleLevel(l1);
+            }
+            EXPECT_EQ(group.flatLaneCount(), lanes.size());
+            BatchEngine::run(sharedTrace(), kWarmup, group);
+            for (std::size_t i = 0; i < lanes.size(); ++i) {
+                SCOPED_TRACE("lane " + std::to_string(i));
+                expectSameStats(group.stats(index[i]), refs[i]);
+            }
+        }
+    }
 }
 
 TEST(SimGroupDifferential, VictimAndStreamBufferLanesMatch)
@@ -268,7 +431,8 @@ TEST(SimdBackendDifferential, EveryBackendMatchesSoloAcrossFlavours)
         for (ReplPolicy repl :
              {ReplPolicy::Random, ReplPolicy::LRU, ReplPolicy::FIFO})
             for (TwoLevelPolicy policy : {TwoLevelPolicy::Inclusive,
-                                          TwoLevelPolicy::StrictInclusive})
+                                          TwoLevelPolicy::StrictInclusive,
+                                          TwoLevelPolicy::Exclusive})
                 shapes.push_back({assoc, repl, policy});
 
     std::vector<CacheParams> l2s;
@@ -363,6 +527,8 @@ TEST(SimdBackendDifferential, WarmupEdgesMatchUnderEveryBackend)
             warmup, l1, l2, TwoLevelPolicy::Inclusive);
         HierarchyStats strict_ref = solo<TwoLevelHierarchy>(
             warmup, l1, l2, TwoLevelPolicy::StrictInclusive);
+        HierarchyStats excl_ref = solo<TwoLevelHierarchy>(
+            warmup, l1, l2, TwoLevelPolicy::Exclusive);
         for (SimdBackend backend : runnableBackends()) {
             SCOPED_TRACE(simdBackendName(backend));
             BackendGuard guard(backend);
@@ -370,10 +536,12 @@ TEST(SimdBackendDifferential, WarmupEdgesMatchUnderEveryBackend)
             group.addSingleLevel(l1);
             group.addTwoLevel(l1, l2, TwoLevelPolicy::Inclusive);
             group.addTwoLevel(l1, l2, TwoLevelPolicy::StrictInclusive);
+            group.addTwoLevel(l1, l2, TwoLevelPolicy::Exclusive);
             BatchEngine::run(sharedTrace(), warmup, group);
             expectSameStats(group.stats(0), single_ref);
             expectSameStats(group.stats(1), incl_ref);
             expectSameStats(group.stats(2), strict_ref);
+            expectSameStats(group.stats(3), excl_ref);
         }
     }
 }
@@ -399,6 +567,7 @@ TEST(SimdBackendDifferential, VectorBackendsMatchScalarByteForByte)
             l2.assoc = 4;
             group.addTwoLevel(l1, l2, TwoLevelPolicy::Inclusive);
             group.addTwoLevel(l1, l2, TwoLevelPolicy::StrictInclusive);
+            group.addTwoLevel(l1, l2, TwoLevelPolicy::Exclusive);
         }
         BatchEngine::run(sharedTrace(), kWarmup, group);
         std::vector<HierarchyStats> all;
@@ -428,7 +597,7 @@ TEST(BatchEngine, SimulateConfigsReportsLaneSplit)
     configs[1].l2Bytes = 32_KiB;
     configs[2].l1Bytes = 4_KiB;
     configs[2].l2Bytes = 32_KiB;
-    configs[2].assume.policy = TwoLevelPolicy::Exclusive;
+    configs[2].assume.l1Assoc = 2; // associative L1s stay generic
     BatchEngine::Result r =
         BatchEngine::simulateConfigs(sharedTrace(), kWarmup, configs);
     ASSERT_EQ(r.stats.size(), 3u);

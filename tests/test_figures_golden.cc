@@ -1,10 +1,11 @@
 /**
  * @file
- * Golden-figure regression tests: the envelope data of two cheap
- * exhibits (fig03 single-level, fig05 two-level), computed on a
- * small synthetic workload, is pinned against checked-in golden
- * files under tests/golden/. Future performance work — parallelism,
- * cache-layout changes, memoization rewrites — cannot silently move
+ * Golden-figure regression tests: the envelope data of four cheap
+ * exhibits (fig03 single-level, fig05 two-level, fig22/fig23 §8
+ * exclusive two-level), computed on a small synthetic workload, is
+ * pinned against checked-in golden files under tests/golden/. Future
+ * performance work — parallelism, cache-layout changes, memoization
+ * rewrites, moving lanes between kernels — cannot silently move
  * the paper's figures: any drift beyond a small numeric tolerance
  * fails here.
  *
@@ -149,4 +150,18 @@ TEST(GoldenFigures, Fig05TwoLevelGccEnvelope)
 {
     checkGolden("fig05", Benchmark::Gcc1, /*two_level=*/true,
                 "fig05_gcc1.txt");
+}
+
+TEST(GoldenFigures, Fig22ExclusiveDmL2GccEnvelope)
+{
+    // At this trace length single-level points dominate fig22's
+    // envelope; fig23's holds exclusive two-level points too.
+    checkGolden("fig22", Benchmark::Gcc1, /*two_level=*/true,
+                "fig22_gcc1.txt");
+}
+
+TEST(GoldenFigures, Fig23ExclusiveFourWayL2GccEnvelope)
+{
+    checkGolden("fig23", Benchmark::Gcc1, /*two_level=*/true,
+                "fig23_gcc1.txt");
 }
