@@ -57,7 +57,8 @@ SimGroup::strictBlockFor(const CacheParams &l1_params)
 std::size_t
 SimGroup::addSingleLevel(const CacheParams &l1_params, std::uint64_t seed)
 {
-    if (l1_params.ways() == 1 && !accessed_) {
+    tlc_assert(!accessed_, "SimGroup lane added after records ran");
+    if (l1_params.ways() == 1) {
         // Same-geometry direct-mapped L1s are bit-identical (no
         // replacement state), so every such lane shares one group's
         // L1 walk and stats block.
@@ -81,11 +82,9 @@ SimGroup::addTwoLevel(const CacheParams &l1_params,
                       const CacheParams &l2_params, TwoLevelPolicy policy,
                       std::uint64_t seed)
 {
-    // Lanes added after records have run take the generic path: the
-    // flat flavours share or re-stride state in ways that are only
-    // equivalent to a solo run when the lane starts cold.
+    tlc_assert(!accessed_, "SimGroup lane added after records ran");
     bool flat = l1_params.ways() == 1 &&
-                l1_params.lineBytes == l2_params.lineBytes && !accessed_;
+                l1_params.lineBytes == l2_params.lineBytes;
     if (flat && policy != TwoLevelPolicy::StrictInclusive) {
         // Non-strict inclusion and §8 exclusion: the L2 never writes
         // back into L1 state (the L1 only fills on a miss), so lanes
@@ -116,16 +115,6 @@ SimGroup::addTwoLevel(const CacheParams &l1_params,
             {LaneKind::Generic,
              static_cast<std::uint32_t>(genericLanes_.size() - 1)});
     }
-    return lanes_.size() - 1;
-}
-
-std::size_t
-SimGroup::addHierarchy(std::unique_ptr<Hierarchy> h)
-{
-    tlc_assert(h != nullptr, "addHierarchy(nullptr)");
-    genericLanes_.push_back(std::move(h));
-    lanes_.push_back({LaneKind::Generic,
-                      static_cast<std::uint32_t>(genericLanes_.size() - 1)});
     return lanes_.size() - 1;
 }
 

@@ -30,10 +30,10 @@
  *  - StrictLaneBlock — strict-inclusive lanes, which need private
  *    L1s (back-invalidation), interleaved so one vector probe per
  *    record answers every lane's L1 lookup at once.
- *  - Generic lanes wrapping any Hierarchy (victim cache, stream
- *    buffer, associative L1s, mismatched L1/L2 line sizes, lanes
- *    added after the first record) accessed record-by-record
- *    through the virtual interface.
+ *  - Generic lanes: a solo SingleLevelHierarchy/TwoLevelHierarchy
+ *    accessed record-by-record through the virtual interface, for
+ *    the shapes the flat layouts do not cover — set-associative L1s
+ *    and mismatched L1/L2 line sizes.
  *
  * Equivalence contract: every lane produces HierarchyStats
  * byte-identical to running the corresponding Hierarchy alone over
@@ -64,8 +64,10 @@ namespace tlc {
 
 /**
  * A group of independent cache hierarchies simulated in one trace
- * pass. Add lanes, then drive records through accessRange(); stats
- * are read back per lane by the index add*() returned.
+ * pass. Add every lane, then drive records through accessRange();
+ * stats are read back per lane by the index add*() returned. Adding
+ * a lane after records have run is a caller bug and fatal: a flat
+ * lane would join state that is no longer cold.
  */
 class SimGroup
 {
@@ -80,22 +82,16 @@ class SimGroup
 
     /**
      * Add a two-level system (TwoLevelHierarchy semantics). Every
-     * policy uses the flat fast path when the L1 is direct-mapped,
-     * both levels share one line size and no records have run yet:
-     * inclusive and exclusive lanes join the SharedL1Group of their
-     * L1 geometry, strict-inclusive lanes a StrictLaneBlock. Other
-     * shapes take the generic path.
+     * policy uses the flat fast path when the L1 is direct-mapped
+     * and both levels share one line size: inclusive and exclusive
+     * lanes join the SharedL1Group of their L1 geometry,
+     * strict-inclusive lanes a StrictLaneBlock. Other shapes take
+     * the generic path.
      * @return the new lane's index.
      */
     std::size_t addTwoLevel(const CacheParams &l1_params,
                             const CacheParams &l2_params,
                             TwoLevelPolicy policy, std::uint64_t seed = 1);
-
-    /**
-     * Add an arbitrary hierarchy (victim cache, stream buffer, ...)
-     * as a generic lane. @return the new lane's index.
-     */
-    std::size_t addHierarchy(std::unique_ptr<Hierarchy> h);
 
     std::size_t laneCount() const { return lanes_.size(); }
 
@@ -148,12 +144,8 @@ class SimGroup
     std::vector<lanes::SharedL1Group> sharedGroups_;
     std::vector<lanes::StrictLaneBlock> strictBlocks_;
     std::vector<std::unique_ptr<Hierarchy>> genericLanes_;
-    /**
-     * Set once records have been driven; lanes added after that
-     * point fall back to the generic path, because joining a
-     * SharedL1Group would inherit its warm L1 and growing a
-     * StrictLaneBlock re-strides tag state that is no longer zero.
-     */
+    /** Set once records have been driven; guards the add-first
+     *  precondition (see the class comment). */
     bool accessed_ = false;
 };
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Backend-neutral half of the data-oriented lane layer: state
- * construction, the scalar reference FlatCache methods, the LRU/FIFO
- * FSM table builder, and the runtime kernel dispatch.
+ * construction, the LRU/FIFO FSM table builder, and the runtime
+ * kernel dispatch.
  */
 
 #include "simd_lanes.hh"
@@ -132,100 +132,6 @@ FlatCache::FlatCache(const CacheParams &p, std::uint64_t seed)
         else
             stamps.resize(sets * ways);
     }
-}
-
-int
-FlatCache::findWay(std::uint32_t set, std::uint32_t line) const
-{
-    std::size_t base = static_cast<std::size_t>(set) * ways;
-    std::uint64_t want = (static_cast<std::uint64_t>(line) << 2) | kValid;
-    for (std::uint32_t w = 0; w < ways; ++w) {
-        if ((entries[base + w] & ~kDirty) == want)
-            return static_cast<int>(w);
-    }
-    return -1;
-}
-
-bool
-FlatCache::lookupAndTouch(std::uint32_t addr)
-{
-    std::uint32_t line = addr >> lineShift;
-    std::uint32_t set = line & setMask;
-    int way = findWay(set, line);
-    if (way < 0)
-        return false;
-    if (repl == ReplPolicy::LRU) {
-        if (fsm != nullptr)
-            fsmState[set] = fsm->next[fsmState[set] * ways + way];
-        else
-            stamps[static_cast<std::size_t>(set) * ways + way] = ++tick;
-    }
-    return true;
-}
-
-bool
-FlatCache::touchDirtyIfResident(std::uint32_t addr)
-{
-    std::uint32_t line = addr >> lineShift;
-    std::uint32_t set = line & setMask;
-    int way = findWay(set, line);
-    if (way < 0)
-        return false;
-    entries[static_cast<std::size_t>(set) * ways + way] |= kDirty;
-    return true;
-}
-
-std::uint32_t
-FlatCache::chooseVictimWay(std::uint32_t set)
-{
-    std::size_t base = static_cast<std::size_t>(set) * ways;
-    // Prefer an invalid way (same scan order as Cache).
-    for (std::uint32_t w = 0; w < ways; ++w) {
-        if (!(entries[base + w] & kValid))
-            return w;
-    }
-    switch (repl) {
-      case ReplPolicy::Random:
-        return rng.nextBounded(ways);
-      case ReplPolicy::LRU:
-      case ReplPolicy::FIFO: {
-        if (fsm != nullptr)
-            return fsm->victim[fsmState[set]];
-        std::uint32_t victim = 0;
-        for (std::uint32_t w = 1; w < ways; ++w) {
-            if (stamps[base + w] < stamps[base + victim])
-                victim = w;
-        }
-        return victim;
-      }
-    }
-    panic("unreachable replacement policy");
-}
-
-FlatCache::Victim
-FlatCache::fill(std::uint32_t addr)
-{
-    std::uint32_t line = addr >> lineShift;
-    std::uint32_t set = line & setMask;
-    std::uint32_t way = chooseVictimWay(set);
-    std::size_t slot = static_cast<std::size_t>(set) * ways + way;
-    Victim v;
-    std::uint64_t e = entries[slot];
-    if (e & kValid) {
-        v.valid = true;
-        v.lineAddr = static_cast<std::uint32_t>(e >> 2);
-        v.dirty = (e & kDirty) != 0;
-    }
-    entries[slot] = (static_cast<std::uint64_t>(line) << 2) | kValid;
-    if (repl != ReplPolicy::Random) {
-        // Unobservable under Random: skipped. LRU and FIFO both
-        // promote the filled way to most-recent.
-        if (fsm != nullptr)
-            fsmState[set] = fsm->next[fsmState[set] * ways + way];
-        else
-            stamps[slot] = ++tick;
-    }
-    return v;
 }
 
 // ---------------------------------------------------------------------

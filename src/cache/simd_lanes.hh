@@ -32,20 +32,20 @@
  *    probe answers "which lanes missed?" as a bitmask; only the
  *    missing lanes fall into the scalar per-lane L2 path.
  *
- *  - FlatCache: the scalar-replica of Cache used for member L2s, as
- *    before, now with precomputed LRU/FIFO FSM transition tables
- *    (permutation-coded recency state, one table lookup per touch or
- *    fill instead of a stamp array scan) for 2..kLruFsmMaxWays ways.
+ *  - FlatCache: the packed tag state of one member L2, with
+ *    precomputed LRU/FIFO FSM transition tables (permutation-coded
+ *    recency state, one table lookup per touch or fill instead of a
+ *    stamp array scan) for 2..kLruFsmMaxWays ways.
  *
  * The kernels themselves are compiled once per SIMD backend in
  * dedicated translation units (simd_lanes_{scalar,avx2,neon}.cc, each
  * including simd_lanes_body.inc inside its own namespace) so a binary
  * carries all of them and laneKernelsFor() dispatches at runtime on
- * util/simd.hh's activeSimdBackend(). The equivalence contract is
- * unchanged from sim_group.hh and backend-independent: every lane's
- * HierarchyStats must be byte-identical to a solo Hierarchy run,
- * including RNG victim draw sequences (tests/test_batch_engine.cc
- * enforces this differentially for every backend the host supports).
+ * util/simd.hh's activeSimdBackend(). The spec is Cache and
+ * TwoLevelHierarchy: every lane's HierarchyStats must be
+ * byte-identical to a solo Hierarchy run, including RNG victim draw
+ * sequences, on every backend (tests/test_batch_engine.cc enforces
+ * this differentially for every backend the host supports).
  */
 
 #ifndef TLC_CACHE_SIMD_LANES_HH
@@ -218,19 +218,19 @@ struct LruFsm
 const LruFsm *lruFsmForWays(std::uint32_t ways);
 
 /**
- * Flat replica of Cache used for member L2s: same victim-selection
- * order (invalid scan, then policy), same Pcg32 stream, same LRU/FIFO
- * ordering — so the stats it produces match a real Cache draw for
- * draw. Entries pack (line << 2) | flags, [set][way] row-major.
- * Replacement state is, in preference order: nothing under Random
- * (unobservable), the FSM state byte per set when the associativity
- * has a table, else the stamp array.
+ * Flat tag state of one Cache used for member L2s: the kernels in
+ * simd_lanes_body.inc keep Cache's victim-selection order (invalid
+ * scan, then policy), Pcg32 stream and LRU/FIFO ordering over it, so
+ * the stats match a real Cache draw for draw. Entries pack
+ * (line << 2) | flags, [set][way] row-major. Replacement state is, in
+ * preference order: nothing under Random (unobservable), the FSM
+ * state byte per set when the associativity has a table, else the
+ * stamp array.
  *
- * The methods here are the scalar reference implementation; the
- * per-backend kernel TUs re-implement the probe loops locally over
- * the same public state so each backend's vector width applies
- * (header-inline vector code would ODR-merge across TUs compiled for
- * different ISAs — see util/simd.hh).
+ * State only: the probe loops live in the per-backend kernel TUs so
+ * each backend's vector width applies (header-inline vector code
+ * would ODR-merge across TUs compiled for different ISAs — see
+ * util/simd.hh).
  */
 struct FlatCache
 {
@@ -246,20 +246,6 @@ struct FlatCache
     Pcg32 rng;
 
     FlatCache(const CacheParams &p, std::uint64_t seed);
-
-    struct Victim
-    {
-        bool valid = false;
-        std::uint32_t lineAddr = 0;
-        bool dirty = false;
-    };
-
-    int findWay(std::uint32_t set, std::uint32_t line) const;
-    bool lookupAndTouch(std::uint32_t addr);
-    /** contains() + setDirty() fused: dirty the line if resident. */
-    bool touchDirtyIfResident(std::uint32_t addr);
-    std::uint32_t chooseVictimWay(std::uint32_t set);
-    Victim fill(std::uint32_t addr);
 };
 
 /**
@@ -360,7 +346,7 @@ struct StrictLaneBlock
      * Append a lane. Must happen before any records are driven: the
      * interleaved layout is re-strided on growth, which is only
      * equivalent while every tag word is still zero (SimGroup
-     * enforces this).
+     * asserts it).
      */
     std::uint32_t addLane(const CacheParams &l2_params,
                           std::uint64_t seed);

@@ -11,9 +11,9 @@
  * per configuration, and the trace walk dominates wall clock. One
  * BatchEngine call decodes the trace once for N configurations; the
  * stats are byte-identical to N separate Hierarchy::simulate runs
- * (differentially enforced by tests/test_batch_engine.cc), so the
- * evaluator can substitute it for the point-major loop without
- * changing any figure.
+ * (differentially enforced by tests/test_batch_engine.cc). It is the
+ * only simulator the evaluator calls: a single-config query is a
+ * batch of one.
  *
  * Instrumentation: each call is timed under the "sim.batch" profiler
  * phase and counted in the explore.batch.* metrics (groups, lanes,
@@ -61,10 +61,10 @@ class BatchEngine
 
     /**
      * Simulate every configuration of @p configs against @p trace in
-     * one pass. Each config must already satisfy check(); the lane
-     * mapping (single- vs two-level, default seed) matches what
-     * MissRateEvaluator builds for its point-major path, so the
-     * returned stats are interchangeable with tryMissStats results.
+     * one pass. Each config must already satisfy check(). Lanes use
+     * the default seed, so each config's stats equal a solo
+     * SingleLevelHierarchy/TwoLevelHierarchy built from its
+     * l1Params()/l2Params().
      */
     static Result simulateConfigs(const TraceBuffer &trace,
                                   std::uint64_t warmup_refs,

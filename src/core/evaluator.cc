@@ -8,7 +8,6 @@
 #include <optional>
 #include <sstream>
 
-#include "cache/single_level.hh"
 #include "core/batch_engine.hh"
 #include "trace/io.hh"
 #include "util/logging.hh"
@@ -186,63 +185,10 @@ MissRateEvaluator::storeKeyText(Benchmark b, const SystemConfig &c)
     return SweepCache::keyText(traceIdentity(b).first, warmupRefs(), c);
 }
 
-std::unique_ptr<Hierarchy>
-MissRateEvaluator::makeHierarchy(const SystemConfig &config)
-{
-    if (config.hasL2()) {
-        return std::make_unique<TwoLevelHierarchy>(
-            config.l1Params(), config.l2Params(), config.assume.policy);
-    }
-    return std::make_unique<SingleLevelHierarchy>(config.l1Params());
-}
-
 Expected<HierarchyStats>
 MissRateEvaluator::tryMissStats(Benchmark b, const SystemConfig &config)
 {
-    Status cs = config.check();
-    if (!cs.ok())
-        return cs;
-
-    std::string k = key(b, config);
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = results_.find(k);
-        if (it != results_.end()) {
-            EvalMetrics::get().memoHits.inc();
-            return it->second;
-        }
-    }
-    EvalMetrics::get().memoMisses.inc();
-
-    // Second cache level: the persistent store. A hit skips the
-    // trace load and the simulation entirely.
-    if (hasResultStore()) {
-        std::string text = storeKeyText(b, config);
-        if (std::optional<HierarchyStats> cached = store_->lookup(text)) {
-            std::lock_guard<std::mutex> lock(mu_);
-            return results_.emplace(k, *cached).first->second;
-        }
-    }
-
-    Expected<const TraceBuffer *> t = tryTrace(b);
-    if (!t.ok())
-        return t.status();
-
-    // Simulate outside the lock on a per-call hierarchy; the trace
-    // buffer is read-only and its map node is never erased, so the
-    // pointer stays valid while workers share it.
-    std::unique_ptr<Hierarchy> h = makeHierarchy(config);
-    {
-        ScopedTimer timer(config.hasL2() ? phase::kSimL2
-                                         : phase::kSimL1);
-        h->simulate(*t.value(), warmupRefs());
-    }
-    recordHierarchyMetrics(h->stats());
-    if (hasResultStore())
-        store_->store(storeKeyText(b, config), h->stats());
-
-    std::lock_guard<std::mutex> lock(mu_);
-    return results_.emplace(k, h->stats()).first->second;
+    return tryMissStatsBatch(b, {&config, 1})[0];
 }
 
 std::vector<Expected<HierarchyStats>>
@@ -352,15 +298,6 @@ MissRateEvaluator::tryMissStatsBatch(Benchmark b,
                             : Expected<HierarchyStats>(traceFailure);
     }
     return out;
-}
-
-void
-MissRateEvaluator::simulate(Benchmark b, Hierarchy &h)
-{
-    Expected<const TraceBuffer *> t = tryTrace(b);
-    tlc_assert(t.ok(), "trace unavailable: %s",
-               t.status().message().c_str());
-    h.simulate(*t.value(), warmupRefs());
 }
 
 } // namespace tlc

@@ -16,11 +16,11 @@
  * configuration records the failure and keeps going (see
  * Explorer::evaluateAll) instead of exiting mid-run.
  *
- * Batching: tryMissStatsBatch() services many configurations from
+ * Simulation: tryMissStatsBatch() services many configurations from
  * ONE trace pass via the batch engine (core/batch_engine.hh) —
  * memoized configs are answered from cache, the rest share a single
- * decode of the benchmark trace. Results are byte-identical to
- * per-config tryMissStats() calls.
+ * decode of the benchmark trace. tryMissStats() is a batch of one,
+ * so the batch engine is the evaluator's only simulator.
  *
  * Persistence: with EvaluatorOptions::resultStore set, a second
  * cache level sits between the memo and simulation — a persistent,
@@ -153,7 +153,7 @@ class MissRateEvaluator
     /**
      * Miss statistics of @p config on @p b (memoized), with invalid
      * configurations and unreadable traces reported as a Status
-     * instead of aborting.
+     * instead of aborting. A one-config tryMissStatsBatch().
      */
     Expected<HierarchyStats> tryMissStats(Benchmark b,
                                           const SystemConfig &config);
@@ -162,16 +162,12 @@ class MissRateEvaluator
      * Miss statistics of every configuration of @p configs on @p b,
      * ordered like the input. Memoized configs are answered from
      * cache; the rest are simulated together in ONE pass over the
-     * benchmark trace (deduplicated by memo key first), producing
-     * stats byte-identical to per-config tryMissStats() calls.
+     * benchmark trace (deduplicated by memo key first).
      * Failures are per-slot: an invalid config fails its own slot,
      * an unloadable trace fails every non-memoized slot.
      */
     std::vector<Expected<HierarchyStats>> tryMissStatsBatch(
         Benchmark b, std::span<const SystemConfig> configs);
-
-    /** Run an arbitrary hierarchy against a benchmark's trace. */
-    void simulate(Benchmark b, Hierarchy &h);
 
     std::uint64_t traceRefs() const { return traceRefs_; }
     std::uint64_t warmupRefs() const;
@@ -188,8 +184,6 @@ class MissRateEvaluator
   private:
     std::string key(Benchmark b, const SystemConfig &c) const;
     std::string storeKeyText(Benchmark b, const SystemConfig &c);
-    static std::unique_ptr<Hierarchy> makeHierarchy(
-        const SystemConfig &config);
 
     /** The trace identity of @p b (SweepCache::traceIdentity) and
      *  its trace file ("" when synthetic). The identity is computed

@@ -342,8 +342,7 @@ Explorer::evaluateAll(Benchmark b, const std::vector<SystemConfig> &configs,
     // worker team. Batch shape cannot affect results — every lane
     // carries its own tag state and replacement RNG stream, exactly
     // as a standalone Hierarchy would — so the sweep stays
-    // byte-identical to the point-major path whatever the worker
-    // count. Each index writes only its own slot; the collector
+    // byte-identical to a serial one whatever the worker count. Each index writes only its own slot; the collector
     // gathers results and failures after the join, in input-index
     // order, which keeps the output deterministic.
     const std::size_t n = configs.size();

@@ -21,7 +21,7 @@
  * output vector, the envelope, and the FailureReport are ordered by
  * input index regardless of batch shape or worker completion order,
  * so a batched parallel sweep produces byte-identical figure data to
- * a serial point-major one (enforced by
+ * a serial one (enforced by
  * tests/test_parallel_differential.cc and tests/test_batch_engine.cc).
  */
 

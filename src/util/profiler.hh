@@ -6,8 +6,8 @@
  *
  * Usage:
  *   {
- *       ScopedTimer t(phase::kSimL2);
- *       hierarchy.simulate(trace, warmup);
+ *       ScopedTimer t(phase::kSimBatch);
+ *       BatchEngine::run(trace, warmup, group);
  *   } // merged into Profiler::global() at scope exit
  *
  * Thread safety: each ScopedTimer accumulates on its own thread (two
@@ -42,8 +42,6 @@ namespace tlc {
  */
 namespace phase {
 inline constexpr const char *kTraceLoad = "trace.load";
-inline constexpr const char *kSimL1 = "sim.l1";
-inline constexpr const char *kSimL2 = "sim.l2";
 inline constexpr const char *kSimBatch = "sim.batch";
 inline constexpr const char *kModelTiming = "model.timing";
 inline constexpr const char *kModelArea = "model.area";

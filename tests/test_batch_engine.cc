@@ -3,29 +3,27 @@
  * Differential tests for the single-pass multi-configuration engine:
  * every SimGroup lane flavour (flat direct-mapped single-level, flat
  * two-level inclusive/strict-inclusive/exclusive, generic associative
- * L1, victim cache, stream buffer) must produce HierarchyStats
- * byte-identical to running the corresponding Hierarchy alone over
- * the same records — including replacement RNG draws, LRU/FIFO stamp
- * ordering and write-back accounting — across warmup boundaries. The
- * SimdBackendDifferential cases re-prove the lane equivalences under
- * EVERY SIMD backend this host can run (forced via setSimdBackend),
- * so scalar and vector kernels are pinned to the same counters the
- * solo hierarchies produce. On top sit the evaluator-level
- * equivalences: tryMissStatsBatch vs tryMissStats, the SweepRequest
- * entry point vs per-benchmark evaluateAll, and the FailureReport
- * snapshot contract.
+ * L1) must produce HierarchyStats byte-identical to running the
+ * corresponding Hierarchy alone over the same records — including
+ * replacement RNG draws, LRU/FIFO stamp ordering and write-back
+ * accounting — across warmup boundaries. The SimdBackendDifferential
+ * cases re-prove the lane equivalences under EVERY SIMD backend this
+ * host can run (forced via setSimdBackend), so scalar and vector
+ * kernels are pinned to the same counters the solo hierarchies
+ * produce. On top sit the evaluator-level equivalences:
+ * tryMissStatsBatch and tryMissStats (a batch of one) vs a solo
+ * Hierarchy built from the config, the SweepRequest entry point vs
+ * per-benchmark evaluateAll, and the FailureReport snapshot
+ * contract.
  */
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "cache/single_level.hh"
-#include "cache/stream_buffer.hh"
 #include "cache/two_level.hh"
-#include "cache/victim_cache.hh"
 #include "core/batch_engine.hh"
 #include "core/explorer.hh"
 #include "core/sweep_cache.hh"
@@ -80,6 +78,20 @@ HierarchyStats
 solo(std::uint64_t warmup, Args &&...args)
 {
     return soloOn<H>(sharedTrace(), warmup, std::forward<Args>(args)...);
+}
+
+/** Reference result: the solo Hierarchy @p c describes, alone over
+ *  @p trace — SingleLevelHierarchy or TwoLevelHierarchy built from
+ *  l1Params()/l2Params() with the default seed. */
+HierarchyStats
+soloConfig(const TraceBuffer &trace, std::uint64_t warmup,
+           const SystemConfig &c)
+{
+    if (c.hasL2()) {
+        return soloOn<TwoLevelHierarchy>(trace, warmup, c.l1Params(),
+                                         c.l2Params(), c.assume.policy);
+    }
+    return soloOn<SingleLevelHierarchy>(trace, warmup, c.l1Params());
 }
 
 /**
@@ -149,6 +161,22 @@ struct BackendGuard
 };
 
 } // namespace
+
+TEST(SimGroupDeathTest, LaneAddedAfterRecordsAborts)
+{
+    // Every lane joins before the first record: a flat lane added
+    // later would share a warm L1 or re-stride live tag state.
+    CacheParams l1;
+    l1.sizeBytes = 4_KiB;
+    CacheParams l2;
+    l2.sizeBytes = 32_KiB;
+    SimGroup group;
+    group.addSingleLevel(l1);
+    group.accessRange(sharedTrace().records().data(), 16);
+    EXPECT_DEATH(group.addSingleLevel(l1), "lane added after records");
+    EXPECT_DEATH(group.addTwoLevel(l1, l2, TwoLevelPolicy::Inclusive),
+                 "lane added after records");
+}
 
 TEST(SimGroupDifferential, DmSingleLevelMatchesHierarchy)
 {
@@ -348,24 +376,6 @@ TEST(SimGroupDifferential, MixedPoliciesShareOneL1InAnyLaneOrder)
             }
         }
     }
-}
-
-TEST(SimGroupDifferential, VictimAndStreamBufferLanesMatch)
-{
-    CacheParams l1;
-    l1.sizeBytes = 4_KiB;
-    SimGroup group;
-    std::size_t victim_lane = group.addHierarchy(
-        std::make_unique<VictimCacheHierarchy>(l1, 4));
-    std::size_t stream_lane = group.addHierarchy(
-        std::make_unique<StreamBufferHierarchy>(l1, 4, 4));
-    EXPECT_FALSE(group.laneIsFlat(victim_lane));
-    EXPECT_FALSE(group.laneIsFlat(stream_lane));
-    BatchEngine::run(sharedTrace(), kWarmup, group);
-    expectSameStats(group.stats(victim_lane),
-                    solo<VictimCacheHierarchy>(kWarmup, l1, 4));
-    expectSameStats(group.stats(stream_lane),
-                    solo<StreamBufferHierarchy>(kWarmup, l1, 4, 4));
 }
 
 TEST(SimGroupDifferential, MixedLaneGroupMatchesAtEveryWarmup)
@@ -614,17 +624,80 @@ TEST(EvaluatorBatch, BatchMatchesPointwiseMissStats)
     ASSERT_GT(configs.size(), 40u);
 
     MissRateEvaluator batched(kRefs);
-    MissRateEvaluator pointwise(kRefs);
     auto results =
         batched.tryMissStatsBatch(Benchmark::Espresso, configs);
     ASSERT_EQ(results.size(), configs.size());
+    const TraceBuffer &trace =
+        *batched.tryTrace(Benchmark::Espresso).value();
     for (std::size_t i = 0; i < configs.size(); ++i) {
         SCOPED_TRACE("config " + configs[i].label());
         ASSERT_TRUE(results[i].ok());
-        HierarchyStats ref =
-            pointwise.tryMissStats(Benchmark::Espresso, configs[i])
-                .value();
-        expectSameStats(results[i].value(), ref);
+        expectSameStats(results[i].value(),
+                        soloConfig(trace, batched.warmupRefs(),
+                                   configs[i]));
+    }
+}
+
+TEST(EvaluatorBatch, PointShapesMatchSoloHierarchy)
+{
+    // Every shape of the interactive single-point space — line
+    // {16,32,64} x L1 ways {1,2} x (L1-only, or L2 ways {1,2,4,8} x
+    // {inclusive, strict, exclusive} x {Random, LRU, FIFO}) — with a
+    // seeded benchmark and sizes, priced by tryMissStats (a batch of
+    // one) and by a solo Hierarchy, under every runnable backend.
+    Pcg32 rng(16, 3);
+    const std::vector<Benchmark> &benches = Workloads::all();
+    std::vector<std::pair<Benchmark, SystemConfig>> points;
+    for (std::uint32_t line : {16u, 32u, 64u}) {
+        for (std::uint32_t l1Ways : {1u, 2u}) {
+            std::vector<SystemAssumptions> shapes;
+            SystemAssumptions a;
+            a.lineBytes = line;
+            a.l1Assoc = l1Ways;
+            shapes.push_back(a);
+            for (std::uint32_t l2Ways : {1u, 2u, 4u, 8u})
+                for (TwoLevelPolicy pol :
+                     {TwoLevelPolicy::Inclusive,
+                      TwoLevelPolicy::StrictInclusive,
+                      TwoLevelPolicy::Exclusive})
+                    for (ReplPolicy repl : {ReplPolicy::Random,
+                                            ReplPolicy::LRU,
+                                            ReplPolicy::FIFO}) {
+                        a.l2Assoc = l2Ways;
+                        a.policy = pol;
+                        a.l2Repl = repl;
+                        shapes.push_back(a);
+                    }
+            for (std::size_t i = 0; i < shapes.size(); ++i) {
+                SystemConfig c;
+                c.assume = shapes[i];
+                c.l1Bytes = 1_KiB << rng.nextBounded(7); // 1K..64K
+                c.l2Bytes = i == 0 ? 0
+                                   : c.l1Bytes
+                                         << (1 + rng.nextBounded(4));
+                ASSERT_TRUE(c.check().ok()) << c.missKeyString();
+                points.emplace_back(
+                    benches[rng.nextBounded(
+                        static_cast<std::uint32_t>(benches.size()))],
+                    c);
+            }
+        }
+    }
+    ASSERT_EQ(points.size(), 3u * 2u * 37u);
+
+    for (SimdBackend backend : runnableBackends()) {
+        SCOPED_TRACE(simdBackendName(backend));
+        BackendGuard guard(backend);
+        MissRateEvaluator ev(kRefs); // fresh memo per backend
+        for (const auto &[bench, c] : points) {
+            SCOPED_TRACE(std::string(Workloads::info(bench).name) + " " +
+                         c.missKeyString());
+            Expected<HierarchyStats> got = ev.tryMissStats(bench, c);
+            ASSERT_TRUE(got.ok()) << got.status().message();
+            expectSameStats(got.value(),
+                            soloConfig(*ev.tryTrace(bench).value(),
+                                       ev.warmupRefs(), c));
+        }
     }
 }
 

@@ -240,7 +240,7 @@ TEST(Profiler, DisabledTimersRecordNothing)
     Profiler p;
     ASSERT_FALSE(p.enabled());
     {
-        ScopedTimer t(phase::kSimL1, p);
+        ScopedTimer t(phase::kTraceLoad, p);
     }
     EXPECT_TRUE(p.snapshot().empty());
 }
@@ -250,18 +250,18 @@ TEST(Profiler, EnabledTimersAggregateAcrossCalls)
     Profiler p;
     p.setEnabled(true);
     for (int i = 0; i < 3; ++i) {
-        ScopedTimer t(phase::kSimL2, p);
+        ScopedTimer t(phase::kSimBatch, p);
     }
     {
         ScopedTimer t("custom.phase", p);
     }
     auto snap = p.snapshot();
     ASSERT_EQ(snap.size(), 2u);
-    EXPECT_EQ(snap[phase::kSimL2].calls, 3u);
+    EXPECT_EQ(snap[phase::kSimBatch].calls, 3u);
     EXPECT_EQ(snap["custom.phase"].calls, 1u);
-    EXPECT_GE(snap[phase::kSimL2].totalNs, 0u);
-    EXPECT_GE(snap[phase::kSimL2].maxNs,
-              snap[phase::kSimL2].totalNs / 3);
+    EXPECT_GE(snap[phase::kSimBatch].totalNs, 0u);
+    EXPECT_GE(snap[phase::kSimBatch].maxNs,
+              snap[phase::kSimBatch].totalNs / 3);
 }
 
 TEST(Profiler, ArmingIsDecidedAtConstruction)
@@ -269,15 +269,15 @@ TEST(Profiler, ArmingIsDecidedAtConstruction)
     // Flipping the switch mid-scope must not tear a half-armed timer.
     Profiler p;
     {
-        ScopedTimer t(phase::kSimL1, p);
+        ScopedTimer t(phase::kTraceLoad, p);
         p.setEnabled(true); // too late for this timer
     }
     EXPECT_TRUE(p.snapshot().empty());
     {
-        ScopedTimer t(phase::kSimL1, p);
+        ScopedTimer t(phase::kTraceLoad, p);
         p.setEnabled(false); // armed timers still record
     }
-    EXPECT_EQ(p.snapshot()[phase::kSimL1].calls, 1u);
+    EXPECT_EQ(p.snapshot()[phase::kTraceLoad].calls, 1u);
 }
 
 TEST(Profiler, RecordsMergeFromConcurrentWorkers)

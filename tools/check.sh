@@ -234,15 +234,20 @@ run_asan() {
     # sanitizers on and run a longer fuzz pass. The supervisor and
     # telemetry suites drive the worker frame decoders; their crash
     # drills raise a real SIGSEGV that must kill the worker by
-    # signal, so ASan's own SEGV handler stays out of the way.
+    # signal, so ASan's own SEGV handler stays out of the way. The
+    # batch differential runs the lane kernels — the only production
+    # simulator — whose raw tag-row arithmetic, prefetches and mmap
+    # tag allocator are exactly what the sanitizers watch.
     echo "== tier asan: robustness suites under ASan+UBSan =="
     configure build-asan -DTLC_SANITIZE=ON
     cmake --build build-asan --target test_robustness \
-        test_result_store test_supervisor test_telemetry trace_fuzz
+        test_result_store test_supervisor test_telemetry test_batch \
+        trace_fuzz
     build-asan/tests/test_robustness
     build-asan/tests/test_result_store
     ASAN_OPTIONS=handle_segv=0 build-asan/tests/test_supervisor
     ASAN_OPTIONS=handle_segv=0 build-asan/tests/test_telemetry
+    build-asan/tests/test_batch
     build-asan/tools/trace_fuzz --rounds=100 --refs=2000
 }
 
