@@ -9,6 +9,20 @@
 
 namespace tlc {
 
+const char *
+twoLevelPolicyName(TwoLevelPolicy p)
+{
+    switch (p) {
+      case TwoLevelPolicy::Inclusive:
+        return "inclusive";
+      case TwoLevelPolicy::StrictInclusive:
+        return "strict-inclusive";
+      case TwoLevelPolicy::Exclusive:
+        return "exclusive";
+    }
+    return "?";
+}
+
 void
 recordHierarchyMetrics(const HierarchyStats &s)
 {

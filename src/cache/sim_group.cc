@@ -1,13 +1,12 @@
 /**
  * @file
  * SimGroup implementation: lane grouping over the data-oriented lane
- * layouts in cache/simd_lanes.hh, generic Hierarchy lanes for the
- * rest, and the blocked lane-major trace loop.
+ * layouts in cache/simd_lanes.hh and the blocked lane-major trace
+ * loop.
  */
 
 #include "sim_group.hh"
 
-#include "cache/single_level.hh"
 #include "util/logging.hh"
 #include "util/simd.hh"
 
@@ -24,19 +23,32 @@ namespace {
  */
 constexpr std::size_t kBlockRecords = 4096;
 
+/**
+ * Do two L1s behave identically? Size, line and ways always count;
+ * the replacement policy only when there is a choice of way (a
+ * direct-mapped L1's policy and RNG are unobservable).
+ */
+bool
+sameL1Shape(const CacheParams &a, const CacheParams &b)
+{
+    return a.sizeBytes == b.sizeBytes && a.lineBytes == b.lineBytes &&
+           a.ways() == b.ways() && (a.ways() == 1 || a.repl == b.repl);
+}
+
 } // namespace
 
 lanes::SharedL1Group &
-SimGroup::sharedGroupFor(const CacheParams &l1_params)
+SimGroup::sharedGroupFor(const CacheParams &l1_params, std::uint64_t seed)
 {
-    // A direct-mapped L1's replacement policy and RNG are
-    // unobservable, so the geometry fields are the whole key.
+    // Random replacement in an associative L1 draws from the lane's
+    // seed, so only lanes with equal seeds may share that L1.
+    bool seeded = l1_params.ways() > 1 && l1_params.repl == ReplPolicy::Random;
     for (lanes::SharedL1Group &g : sharedGroups_) {
-        if (g.l1Params.sizeBytes == l1_params.sizeBytes &&
-            g.l1Params.lineBytes == l1_params.lineBytes)
+        if (sameL1Shape(g.l1Params, l1_params) &&
+            (!seeded || g.l1Seed == seed))
             return g;
     }
-    sharedGroups_.emplace_back(l1_params);
+    sharedGroups_.emplace_back(l1_params, seed);
     return sharedGroups_.back();
 }
 
@@ -45,8 +57,7 @@ SimGroup::strictBlockFor(const CacheParams &l1_params)
 {
     for (std::uint32_t b = 0; b < strictBlocks_.size(); ++b) {
         const lanes::StrictLaneBlock &blk = strictBlocks_[b];
-        if (blk.l1Params.sizeBytes == l1_params.sizeBytes &&
-            blk.l1Params.lineBytes == l1_params.lineBytes &&
+        if (sameL1Shape(blk.l1Params, l1_params) &&
             blk.width() < lanes::StrictLaneBlock::kMaxBlockLanes)
             return b;
     }
@@ -58,22 +69,13 @@ std::size_t
 SimGroup::addSingleLevel(const CacheParams &l1_params, std::uint64_t seed)
 {
     tlc_assert(!accessed_, "SimGroup lane added after records ran");
-    if (l1_params.ways() == 1) {
-        // Same-geometry direct-mapped L1s are bit-identical (no
-        // replacement state), so every such lane shares one group's
-        // L1 walk and stats block.
-        lanes::SharedL1Group &g = sharedGroupFor(l1_params);
-        ++g.singleMembers;
-        std::uint32_t group =
-            static_cast<std::uint32_t>(&g - sharedGroups_.data());
-        lanes_.push_back({LaneKind::SharedSingle, group});
-    } else {
-        genericLanes_.push_back(
-            std::make_unique<SingleLevelHierarchy>(l1_params, seed));
-        lanes_.push_back(
-            {LaneKind::Generic,
-             static_cast<std::uint32_t>(genericLanes_.size() - 1)});
-    }
+    // Same-shape L1s evolve identically, so every such lane shares
+    // one group's L1 walk and stats block.
+    lanes::SharedL1Group &g = sharedGroupFor(l1_params, seed);
+    ++g.singleMembers;
+    std::uint32_t group =
+        static_cast<std::uint32_t>(&g - sharedGroups_.data());
+    lanes_.push_back({LaneKind::SharedSingle, group});
     return lanes_.size() - 1;
 }
 
@@ -83,14 +85,16 @@ SimGroup::addTwoLevel(const CacheParams &l1_params,
                       std::uint64_t seed)
 {
     tlc_assert(!accessed_, "SimGroup lane added after records ran");
-    bool flat = l1_params.ways() == 1 &&
-                l1_params.lineBytes == l2_params.lineBytes;
-    if (flat && policy != TwoLevelPolicy::StrictInclusive) {
+    // The lanes replay L1 misses as line numbers (lanes::L1Miss).
+    tlc_assert(l1_params.lineBytes == l2_params.lineBytes,
+               "SimGroup lane with L1 line %u != L2 line %u",
+               l1_params.lineBytes, l2_params.lineBytes);
+    if (policy != TwoLevelPolicy::StrictInclusive) {
         // Non-strict inclusion and §8 exclusion: the L2 never writes
         // back into L1 state (the L1 only fills on a miss), so lanes
-        // sharing an L1 geometry share one simulated L1 and fan out
+        // sharing an L1 shape share one simulated L1 and fan out
         // over the recorded miss stream.
-        lanes::SharedL1Group &g = sharedGroupFor(l1_params);
+        lanes::SharedL1Group &g = sharedGroupFor(l1_params, seed);
         bool excl = policy == TwoLevelPolicy::Exclusive;
         std::vector<lanes::SharedL1Group::Sub> &subs =
             excl ? g.exclSubs : g.subs;
@@ -100,35 +104,22 @@ SimGroup::addTwoLevel(const CacheParams &l1_params,
         lanes_.push_back({excl ? LaneKind::SharedExcl : LaneKind::SharedSub,
                           group,
                           static_cast<std::uint32_t>(subs.size() - 1)});
-    } else if (flat) {
-        // Strict inclusion back-invalidates L1 lines, so each lane
-        // keeps a private L1 — interleaved with its same-geometry
-        // peers for the vectorized probe.
-        std::uint32_t block = strictBlockFor(l1_params);
-        std::uint32_t lane =
-            strictBlocks_[block].addLane(l2_params, seed + 2);
-        lanes_.push_back({LaneKind::Strict, block, lane});
     } else {
-        genericLanes_.push_back(std::make_unique<TwoLevelHierarchy>(
-            l1_params, l2_params, policy, seed));
-        lanes_.push_back(
-            {LaneKind::Generic,
-             static_cast<std::uint32_t>(genericLanes_.size() - 1)});
+        // Strict inclusion back-invalidates L1 lines, so each lane
+        // keeps a private L1 — interleaved with its same-shape peers
+        // for the vectorized probe.
+        std::uint32_t block = strictBlockFor(l1_params);
+        std::uint32_t lane = strictBlocks_[block].addLane(l2_params, seed);
+        lanes_.push_back({LaneKind::Strict, block, lane});
     }
     return lanes_.size() - 1;
-}
-
-std::size_t
-SimGroup::flatLaneCount() const
-{
-    return lanes_.size() - genericLanes_.size();
 }
 
 bool
 SimGroup::laneIsFlat(std::size_t lane) const
 {
     tlc_assert(lane < lanes_.size(), "lane %zu out of range", lane);
-    return lanes_[lane].kind != LaneKind::Generic;
+    return true;
 }
 
 void
@@ -147,10 +138,6 @@ SimGroup::accessRange(const TraceRecord *recs, std::size_t n)
                         block, len);
         for (lanes::StrictLaneBlock &blk : strictBlocks_)
             k.runStrict(blk, block, len);
-        for (auto &h : genericLanes_) {
-            for (std::size_t i = 0; i < len; ++i)
-                h->access(block[i]);
-        }
     }
 }
 
@@ -168,8 +155,6 @@ SimGroup::resetStats()
         for (HierarchyStats &s : blk.stats)
             s = HierarchyStats{};
     }
-    for (auto &h : genericLanes_)
-        h->resetStats();
 }
 
 const HierarchyStats &
@@ -186,8 +171,6 @@ SimGroup::stats(std::size_t lane) const
         return sharedGroups_[ref.index].exclSubs[ref.sub].stats;
       case LaneKind::Strict:
         return strictBlocks_[ref.index].stats[ref.sub];
-      case LaneKind::Generic:
-        return genericLanes_[ref.index]->stats();
     }
     panic("unreachable lane kind");
 }

@@ -20,20 +20,22 @@
  * compiled into the binary — scalar always, AVX2/NEON per
  * architecture, forced with TLC_SIMD or setSimdBackend()):
  *
- *  - SharedL1Group — all lanes over one direct-mapped L1 geometry
- *    whose L2 side never reaches back into the L1: plain-inclusive
- *    and §8 exclusive two-level lanes (private L2s replayed from a
- *    shared miss queue, with a refill or a swap step respectively)
- *    and L1-only lanes (bit-identical, one shared stats block). An
- *    L2-capacity sweep over a fixed L1 costs one L1 simulation
- *    instead of N.
+ *  - SharedL1Group — all lanes over one L1, keyed by (size, line,
+ *    ways, replacement policy; plus the seed for a Random
+ *    associative L1), whose L2 side never reaches back into the L1:
+ *    plain-inclusive and §8 exclusive two-level lanes (private L2s
+ *    replayed from a shared miss queue, with a refill or a swap step
+ *    respectively) and L1-only lanes (bit-identical, one shared
+ *    stats block). An L2-capacity sweep over a fixed L1 costs one L1
+ *    simulation instead of N. Direct-mapped and set-associative L1s
+ *    of the same size and line land in different groups.
  *  - StrictLaneBlock — strict-inclusive lanes, which need private
- *    L1s (back-invalidation), interleaved so one vector probe per
- *    record answers every lane's L1 lookup at once.
- *  - Generic lanes: a solo SingleLevelHierarchy/TwoLevelHierarchy
- *    accessed record-by-record through the virtual interface, for
- *    the shapes the flat layouts do not cover — set-associative L1s
- *    and mismatched L1/L2 line sizes.
+ *    L1s (back-invalidation), interleaved per (set, way) so vector
+ *    compares answer every lane's L1 lookup at once.
+ *
+ * Every lane is flat: these two layouts cover every shape SimGroup
+ * accepts. Solo SingleLevelHierarchy/TwoLevelHierarchy remain the
+ * reference model the differentials check the lanes against.
  *
  * Equivalence contract: every lane produces HierarchyStats
  * byte-identical to running the corresponding Hierarchy alone over
@@ -51,13 +53,11 @@
 #define TLC_CACHE_SIM_GROUP_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "cache/hierarchy.hh"
 #include "cache/params.hh"
 #include "cache/simd_lanes.hh"
-#include "cache/two_level.hh"
 #include "trace/record.hh"
 
 namespace tlc {
@@ -73,20 +73,19 @@ class SimGroup
 {
   public:
     /**
-     * Add a split-L1-only system (SingleLevelHierarchy semantics).
-     * Uses the flat fast path when the L1 is direct-mapped.
+     * Add a split-L1-only system (SingleLevelHierarchy semantics). It
+     * joins the SharedL1Group of its L1 shape.
      * @return the new lane's index.
      */
     std::size_t addSingleLevel(const CacheParams &l1_params,
                                std::uint64_t seed = 1);
 
     /**
-     * Add a two-level system (TwoLevelHierarchy semantics). Every
-     * policy uses the flat fast path when the L1 is direct-mapped
-     * and both levels share one line size: inclusive and exclusive
-     * lanes join the SharedL1Group of their L1 geometry,
-     * strict-inclusive lanes a StrictLaneBlock. Other shapes take
-     * the generic path.
+     * Add a two-level system (TwoLevelHierarchy semantics): inclusive
+     * and exclusive lanes join the SharedL1Group of their L1 shape,
+     * strict-inclusive lanes a StrictLaneBlock. Both levels must
+     * share one line size (TwoLevelHierarchy requires it too);
+     * anything else is a caller bug and fatal.
      * @return the new lane's index.
      */
     std::size_t addTwoLevel(const CacheParams &l1_params,
@@ -95,10 +94,13 @@ class SimGroup
 
     std::size_t laneCount() const { return lanes_.size(); }
 
-    /** Lanes on the structure-of-arrays fast path (for metrics). */
-    std::size_t flatLaneCount() const;
+    /**
+     * Lanes on the structure-of-arrays fast path (for metrics) —
+     * every lane, since no shape needs the virtual Hierarchy path.
+     */
+    std::size_t flatLaneCount() const { return lanes_.size(); }
 
-    /** Does @p lane run on the flat fast path? */
+    /** Does @p lane run on the flat fast path? Always, see above. */
     bool laneIsFlat(std::size_t lane) const;
 
     /**
@@ -121,21 +123,24 @@ class SimGroup
         SharedSingle, ///< L1-only member of a SharedL1Group
         SharedSub,    ///< plain-inclusive member of a SharedL1Group
         SharedExcl,   ///< exclusive member of a SharedL1Group
-        Strict,       ///< lane inside a StrictLaneBlock
-        Generic
+        Strict        ///< lane inside a StrictLaneBlock
     };
     struct LaneRef
     {
         LaneKind kind;
-        std::uint32_t index;   ///< group/block/hierarchy index
+        std::uint32_t index;   ///< group/block index
         std::uint32_t sub = 0; ///< sub in group / lane in block
     };
 
-    /** Group with a matching L1 geometry, created on first use. */
-    lanes::SharedL1Group &sharedGroupFor(const CacheParams &l1_params);
+    /**
+     * Group with a matching L1 shape (and, for a Random associative
+     * L1, hierarchy seed @p seed), created on first use.
+     */
+    lanes::SharedL1Group &sharedGroupFor(const CacheParams &l1_params,
+                                         std::uint64_t seed);
 
     /**
-     * Strict block with a matching L1 geometry and a free lane slot,
+     * Strict block with a matching L1 shape and a free lane slot,
      * created on first use or when every match is full.
      */
     std::uint32_t strictBlockFor(const CacheParams &l1_params);
@@ -143,7 +148,6 @@ class SimGroup
     std::vector<LaneRef> lanes_;
     std::vector<lanes::SharedL1Group> sharedGroups_;
     std::vector<lanes::StrictLaneBlock> strictBlocks_;
-    std::vector<std::unique_ptr<Hierarchy>> genericLanes_;
     /** Set once records have been driven; guards the add-first
      *  precondition (see the class comment). */
     bool accessed_ = false;

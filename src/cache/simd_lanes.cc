@@ -88,7 +88,7 @@ buildLruFsm(std::uint32_t ways)
                     moved[out++] = perms[s][i];
             }
             fsm.next[static_cast<std::size_t>(s) * ways + way] =
-                static_cast<std::uint8_t>(rankOf(moved));
+                static_cast<FsmState>(rankOf(moved));
         }
     }
     return fsm;
@@ -138,37 +138,58 @@ FlatCache::FlatCache(const CacheParams &p, std::uint64_t seed)
 // SharedL1Group / StrictLaneBlock
 // ---------------------------------------------------------------------
 
-SharedL1Group::SharedL1Group(const CacheParams &p) : l1Params(p)
+SharedL1Group::SharedL1Group(const CacheParams &p, std::uint64_t seed)
+    : l1Params(p), l1Seed(seed)
 {
     p.validate();
-    tlc_assert(p.ways() == 1,
-               "SharedL1Group requires a direct-mapped L1");
     std::uint64_t sets = p.numSets();
     lineShift = log2i(p.lineBytes);
     setMask = static_cast<std::uint32_t>(sets - 1);
-    l1Entries.resize(sets * 2); // zero entries carry no kValid bit
+    if (p.ways() == 1) {
+        l1Entries.resize(sets * 2); // zero entries carry no kValid bit
+    } else {
+        l1Sides.reserve(2);
+        l1Sides.emplace_back(p, seed);
+        l1Sides.emplace_back(p, seed + 1);
+    }
 }
 
 StrictLaneBlock::StrictLaneBlock(const CacheParams &p) : l1Params(p)
 {
     p.validate();
-    tlc_assert(p.ways() == 1,
-               "StrictLaneBlock requires a direct-mapped L1");
     lineShift = log2i(p.lineBytes);
     setMask = static_cast<std::uint32_t>(p.numSets() - 1);
+    l1Ways = p.ways();
+    if (l1Ways > 1 && p.repl != ReplPolicy::Random)
+        l1Fsm = lruFsmForWays(l1Ways);
 }
 
 std::uint32_t
 StrictLaneBlock::addLane(const CacheParams &l2_params, std::uint64_t seed)
 {
     tlc_assert(width() < kMaxBlockLanes, "StrictLaneBlock is full");
-    l2s.emplace_back(l2_params, seed);
+    l2s.emplace_back(l2_params, seed + 2);
     stats.emplace_back();
-    // Re-stride the interleaved tag array for the new width. All
-    // words are still zero (lanes are only added before the first
-    // record), so resizing is the whole job.
-    std::uint64_t sets = l1Params.numSets();
-    l1Entries.assign(sets * 2 * width(), 0);
+    // Re-stride the interleaved arrays for the new width. Everything
+    // is still zero (lanes are only added before the first record),
+    // so resizing is the whole job.
+    std::uint64_t slots = l1Params.numSets() * 2;
+    l1Entries.assign(slots * l1Ways * width(), 0);
+    if (l1Ways > 1) {
+        switch (l1Params.repl) {
+          case ReplPolicy::Random:
+            l1Rngs.emplace_back(seed, 0xcac4e); // Cache's stream id
+            l1Rngs.emplace_back(seed + 1, 0xcac4e);
+            break;
+          case ReplPolicy::LRU:
+          case ReplPolicy::FIFO:
+            if (l1Fsm != nullptr)
+                l1FsmState.assign(slots * width(), FsmState{});
+            else
+                l1Stamps.assign(slots * l1Ways * width(), 0);
+            break;
+        }
+    }
     return width() - 1;
 }
 

@@ -7,35 +7,43 @@
  * this header owns the lane *layout* and the hot loops. The state is
  * arranged structure-of-arrays so the kernels can vectorize:
  *
- *  - SharedL1Group: every lane sharing one direct-mapped L1 geometry
- *    — plain-inclusive and exclusive two-level lanes AND L1-only
- *    lanes — walks the trace through ONE simulated L1. L1-only
- *    members are bit-identical to each other (a direct-mapped cache
- *    has no replacement state), so they share a single stats block.
- *    Two-level members differ only below the L1 — neither policy
- *    lets the L2 reach back into L1 state — so the kernel records
- *    each L1 miss once (line, victim line, victim valid/dirty flags)
- *    in a miss queue and replays the queue per member L2, sub-major:
- *    each L2's tag state stays hot across a whole block of misses
- *    instead of being re-fetched per record, and the replay loop is
- *    where the vectorized L2 tag compare runs. Inclusive and
- *    exclusive members differ only in that replay step (refill vs
- *    the §8 swap). Replaying in record order per sub keeps every
- *    member's operation (and RNG draw) sequence identical to a solo
- *    run — subs are independent, so inter-sub order is unobservable.
+ *  - SharedL1Group: every lane sharing one L1 — same size, line,
+ *    ways and replacement policy — whose L2 side never reaches back
+ *    into the L1: plain-inclusive and exclusive two-level lanes AND
+ *    L1-only lanes walk the trace through ONE simulated L1. L1-only
+ *    members are bit-identical to each other (the shared L1 is their
+ *    whole state), so they share a single stats block. Two-level
+ *    members differ only below the L1 — neither policy lets the L2
+ *    reach back into L1 state — so the kernel records each L1 miss
+ *    once (line, victim line, victim valid/dirty flags) in a miss
+ *    queue and replays the queue per member L2, sub-major: each L2's
+ *    tag state stays hot across a whole block of misses instead of
+ *    being re-fetched per record, and the replay loop is where the
+ *    vectorized L2 tag compare runs. Inclusive and exclusive members
+ *    differ only in that replay step (refill vs the §8 swap).
+ *    Replaying in record order per sub keeps every member's
+ *    operation (and RNG draw) sequence identical to a solo run —
+ *    subs are independent, so inter-sub order is unobservable. A
+ *    direct-mapped L1 keeps its split tag words interleaved in one
+ *    array and is walked by a fused multi-group loop; an associative
+ *    L1 is a pair of FlatCaches (I and D) stepped through the same
+ *    helpers as the member L2s.
  *
  *  - StrictLaneBlock: strict-inclusive lanes back-invalidate their L1
  *    on L2 eviction, so each needs a *private* L1 — but lanes with the
- *    same L1 geometry still probe the same (set, I/D) slot for every
+ *    same L1 shape still probe the same (set, I/D) slot for every
  *    record. The block interleaves up to kMaxBlockLanes lanes' L1 tag
- *    words per slot (entries[slot * width + lane]), and one vector
- *    probe answers "which lanes missed?" as a bitmask; only the
- *    missing lanes fall into the scalar per-lane L2 path.
+ *    words per (slot, way) row (entries[(slot * ways + way) * width +
+ *    lane]), and vector compares over a slot's rows answer "which
+ *    lanes missed?" as a bitmask; only the missing lanes fall into
+ *    the scalar per-lane L2 path. An associative L1 keeps its recency
+ *    state per (slot, lane).
  *
- *  - FlatCache: the packed tag state of one member L2, with
- *    precomputed LRU/FIFO FSM transition tables (permutation-coded
- *    recency state, one table lookup per touch or fill instead of a
- *    stamp array scan) for 2..kLruFsmMaxWays ways.
+ *  - FlatCache: the packed tag state of one member L2 or one side of
+ *    a shared associative L1, with precomputed LRU/FIFO FSM
+ *    transition tables (permutation-coded recency state, one table
+ *    lookup per touch or fill instead of a stamp array scan) for
+ *    2..kLruFsmMaxWays ways.
  *
  * The kernels themselves are compiled once per SIMD backend in
  * dedicated translation units (simd_lanes_{scalar,avx2,neon}.cc, each
@@ -189,6 +197,14 @@ using TagVector = std::vector<std::uint64_t, TagAllocator<std::uint64_t>>;
 constexpr std::uint32_t kLruFsmMaxWays = 4;
 
 /**
+ * One set's recency permutation, an LruFsm state id. An enum rather
+ * than a plain byte: a store through a character type may alias any
+ * object, so each recency step would force the kernels to reload
+ * every tag pointer and geometry field they hold.
+ */
+enum class FsmState : std::uint8_t {};
+
+/**
  * Precomputed recency-permutation FSM for one associativity, in the
  * style of cavatools' lru_fsm_Nway tables. A state encodes the ways
  * of one set ordered most-recent-first; next[state * ways + way]
@@ -206,7 +222,7 @@ struct LruFsm
 {
     std::uint32_t ways = 0;
     std::uint32_t states = 0;          ///< ways!
-    std::vector<std::uint8_t> next;    ///< [state * ways + way]
+    std::vector<FsmState> next;        ///< [state * ways + way]
     std::vector<std::uint8_t> victim;  ///< [state]
 };
 
@@ -218,7 +234,8 @@ struct LruFsm
 const LruFsm *lruFsmForWays(std::uint32_t ways);
 
 /**
- * Flat tag state of one Cache used for member L2s: the kernels in
+ * Flat tag state of one Cache — a member L2, or the I or D side of a
+ * shared associative L1: the kernels in
  * simd_lanes_body.inc keep Cache's victim-selection order (invalid
  * scan, then policy), Pcg32 stream and LRU/FIFO ordering over it, so
  * the stats match a real Cache draw for draw. Entries pack
@@ -241,7 +258,7 @@ struct FlatCache
     const LruFsm *fsm = nullptr;        ///< non-null: fsmState in use
     TagVector entries;                  ///< (line << 2) | flags
     std::vector<std::uint64_t> stamps;  ///< LRU/FIFO fallback ordering
-    std::vector<std::uint8_t> fsmState; ///< per-set recency permutation
+    std::vector<FsmState> fsmState;     ///< per-set recency permutation
     std::uint64_t tick = 0;
     Pcg32 rng;
 
@@ -266,19 +283,25 @@ struct L1Miss
 };
 
 /**
- * All lanes sharing one direct-mapped L1 geometry whose L2 side (if
- * any) never reaches back into the L1: plain-inclusive two-level
- * lanes as subs, exclusive two-level lanes as exclSubs, L1-only
- * lanes as a shared member count. The L1 tag state is
- * split-interleaved ([set*2] = I, [set*2+1] = D) exactly as the solo
- * hierarchies see it.
+ * All lanes sharing one L1 whose L2 side (if any) never reaches back
+ * into the L1: plain-inclusive two-level lanes as subs, exclusive
+ * two-level lanes as exclSubs, L1-only lanes as a shared member
+ * count. A direct-mapped L1's tag state is split-interleaved
+ * ([set*2] = I, [set*2+1] = D) in l1Entries; an associative L1 is
+ * the two FlatCaches in l1Sides, seeded as the solo hierarchies seed
+ * their I and D caches.
  */
 struct SharedL1Group
 {
-    CacheParams l1Params; ///< grouping key (sizeBytes, lineBytes)
+    /** Grouping key: sizeBytes, lineBytes, ways() and — when
+     *  associative — repl, plus l1Seed under Random replacement
+     *  (the only L1 whose seed is observable). */
+    CacheParams l1Params;
+    std::uint64_t l1Seed = 0;
     std::uint32_t lineShift = 0;
     std::uint32_t setMask = 0;
-    TagVector l1Entries;
+    TagVector l1Entries;            ///< direct-mapped: [set*2 + I/D]
+    std::vector<FlatCache> l1Sides; ///< associative: {I, D}
 
     /** One two-level member: a private L2 + stats. */
     struct Sub
@@ -302,8 +325,8 @@ struct SharedL1Group
     std::vector<Sub> exclSubs;
 
     /**
-     * L1-only members. Same geometry + no replacement state means
-     * they are bit-identical, so one stats block serves all of them
+     * L1-only members. One shared L1 is their whole state, so they
+     * are bit-identical and one stats block serves all of them
      * (l2Misses counts the off-chip fetches, as SingleLevelHierarchy
      * reports them).
      */
@@ -313,25 +336,39 @@ struct SharedL1Group
     /** Per-block L1 miss queue, reused across blocks. */
     std::vector<L1Miss> missQueue;
 
-    explicit SharedL1Group(const CacheParams &p);
+    /** @p seed is the hierarchy seed: I side seed, D side seed + 1. */
+    SharedL1Group(const CacheParams &p, std::uint64_t seed);
+
+    bool associative() const { return !l1Sides.empty(); }
 };
 
 /**
- * Up to kMaxBlockLanes strict-inclusive lanes sharing one
- * direct-mapped L1 geometry and line size, their L1 tag words
- * interleaved per (set, I/D) slot: l1Entries[slot * width() + lane].
- * One vector probe over a slot's row yields the miss bitmask for all
- * lanes at once; L2 state and stats stay per lane.
+ * Up to kMaxBlockLanes strict-inclusive lanes sharing one L1 shape
+ * (size, line, ways, replacement policy), their private L1 tag words
+ * interleaved in one row per (set, I/D) slot and way:
+ * l1Entries[(slot * ways + way) * width() + lane]. Vector compares
+ * over a slot's rows yield the miss bitmask for all lanes at once;
+ * L2 state and stats stay per lane. An associative L1 keeps its recency state per
+ * (slot, lane) the way FlatCache keeps it per set: an FSM state byte
+ * when the associativity has a table, else stamps laid out like the
+ * tag words; under Random each lane's I and D sides draw from their
+ * own Pcg32, seeded as the solo hierarchy seeds them.
  */
 struct StrictLaneBlock
 {
     /** Row width cap — miss masks are single 64-bit words. */
     static constexpr std::uint32_t kMaxBlockLanes = 64;
 
-    CacheParams l1Params; ///< grouping key (sizeBytes, lineBytes)
+    CacheParams l1Params; ///< grouping key (sizeBytes, lineBytes, ways, repl)
     std::uint32_t lineShift = 0;
     std::uint32_t setMask = 0;
-    TagVector l1Entries;                  ///< [slot * width() + lane]
+    std::uint32_t l1Ways = 1;
+    const LruFsm *l1Fsm = nullptr; ///< non-null: l1FsmState in use
+    TagVector l1Entries;           ///< [(slot * ways + way) * width() + lane]
+    std::vector<FsmState> l1FsmState;     ///< [slot * width() + lane]
+    std::vector<std::uint64_t> l1Stamps;  ///< laid out as l1Entries
+    std::uint64_t l1Tick = 0;
+    std::vector<Pcg32> l1Rngs;            ///< [lane * 2 + I/D]
     std::vector<FlatCache> l2s;           ///< per lane
     std::vector<HierarchyStats> stats;    ///< per lane
 
@@ -343,9 +380,11 @@ struct StrictLaneBlock
     }
 
     /**
-     * Append a lane. Must happen before any records are driven: the
-     * interleaved layout is re-strided on growth, which is only
-     * equivalent while every tag word is still zero (SimGroup
+     * Append a lane with hierarchy seed @p seed (L1 sides seed and
+     * seed + 1, L2 seed + 2, as TwoLevelHierarchy seeds its caches).
+     * Must happen before any records are driven: the interleaved
+     * layout is re-strided on growth, which is only equivalent while
+     * every tag word and recency state is still zero (SimGroup
      * asserts it).
      */
     std::uint32_t addLane(const CacheParams &l2_params,

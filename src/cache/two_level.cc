@@ -9,20 +9,6 @@
 
 namespace tlc {
 
-const char *
-twoLevelPolicyName(TwoLevelPolicy p)
-{
-    switch (p) {
-      case TwoLevelPolicy::Inclusive:
-        return "inclusive";
-      case TwoLevelPolicy::StrictInclusive:
-        return "strict-inclusive";
-      case TwoLevelPolicy::Exclusive:
-        return "exclusive";
-    }
-    return "?";
-}
-
 TwoLevelHierarchy::TwoLevelHierarchy(const CacheParams &l1_params,
                                      const CacheParams &l2_params,
                                      TwoLevelPolicy policy,

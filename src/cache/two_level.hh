@@ -13,33 +13,6 @@
 
 namespace tlc {
 
-/** Content-management policy between the two levels. */
-enum class TwoLevelPolicy {
-    /**
-     * Baseline: L2 allocates on its own misses; the same line may
-     * live in both levels; no back-invalidation ("mostly
-     * inclusive", the paper's standard two-level caching).
-     */
-    Inclusive,
-    /**
-     * Baseline plus strict inclusion: when L2 evicts a line it is
-     * also removed from the L1s (Baer–Wang inclusion, useful for
-     * multiprocessors; provided for the ablation study).
-     */
-    StrictInclusive,
-    /**
-     * Two-level exclusive caching (the paper's contribution): on an
-     * L1 miss/L2 hit the L1 victim is written into L2, taking the
-     * promoted line's slot when both map to the same L2 set (a
-     * swap); on an L2 miss the off-chip refill bypasses L2 and the
-     * L1 victim is sent to L2.
-     */
-    Exclusive
-};
-
-/** Human-readable policy name. */
-const char *twoLevelPolicyName(TwoLevelPolicy p);
-
 /**
  * Split L1 (instruction + data, same geometry) with a mixed L2.
  */

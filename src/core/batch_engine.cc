@@ -70,13 +70,9 @@ BatchEngine::simulateConfigs(const TraceBuffer &trace,
 
     Result r;
     r.stats.reserve(configs.size());
-    for (std::size_t lane = 0; lane < group.laneCount(); ++lane) {
+    for (std::size_t lane = 0; lane < group.laneCount(); ++lane)
         r.stats.push_back(group.stats(lane));
-        if (group.laneIsFlat(lane))
-            ++r.flatLanes;
-        else
-            ++r.genericLanes;
-    }
+    r.flatLanes = group.flatLaneCount();
 
     BatchMetrics &m = BatchMetrics::get();
     m.groups.inc();

@@ -46,8 +46,12 @@ class BatchEngine
     {
         /** Per-config stats, ordered like the input span. */
         std::vector<HierarchyStats> stats;
-        std::size_t flatLanes = 0;    ///< lanes on the SoA fast path
-        std::size_t genericLanes = 0; ///< lanes on the virtual path
+        std::size_t flatLanes = 0; ///< lanes on the SoA fast path
+        /** Lanes on a virtual Hierarchy path: always 0 since every
+         *  SimGroup lane is flat; still reported (and counted as
+         *  explore.batch.generic_lanes) for the readers of the
+         *  lane split. */
+        std::size_t genericLanes = 0;
     };
 
     /**

@@ -1,9 +1,9 @@
 /**
  * @file
  * Differential tests for the single-pass multi-configuration engine:
- * every SimGroup lane flavour (flat direct-mapped single-level, flat
- * two-level inclusive/strict-inclusive/exclusive, generic associative
- * L1) must produce HierarchyStats byte-identical to running the
+ * every SimGroup lane flavour (L1-only, two-level inclusive,
+ * strict-inclusive and exclusive, over direct-mapped and associative
+ * L1s) must produce HierarchyStats byte-identical to running the
  * corresponding Hierarchy alone over the same records — including
  * replacement RNG draws, LRU/FIFO stamp ordering and write-back
  * accounting — across warmup boundaries. The SimdBackendDifferential
@@ -178,6 +178,25 @@ TEST(SimGroupDeathTest, LaneAddedAfterRecordsAborts)
                  "lane added after records");
 }
 
+TEST(SimGroupDeathTest, MismatchedLineSizesAbort)
+{
+    // The lanes replay L1 misses as line numbers, so both levels must
+    // share one line size — as TwoLevelHierarchy itself requires.
+    CacheParams l1;
+    l1.sizeBytes = 4_KiB;
+    l1.lineBytes = 16;
+    CacheParams l2;
+    l2.sizeBytes = 32_KiB;
+    l2.lineBytes = 32;
+    for (TwoLevelPolicy policy :
+         {TwoLevelPolicy::Inclusive, TwoLevelPolicy::StrictInclusive,
+          TwoLevelPolicy::Exclusive}) {
+        SimGroup group;
+        EXPECT_DEATH(group.addTwoLevel(l1, l2, policy),
+                     "L1 line 16 != L2 line 32");
+    }
+}
+
 TEST(SimGroupDifferential, DmSingleLevelMatchesHierarchy)
 {
     SimGroup group;
@@ -201,7 +220,7 @@ TEST(SimGroupDifferential, DmSingleLevelMatchesHierarchy)
     }
 }
 
-TEST(SimGroupDifferential, AssociativeL1TakesGenericPathAndMatches)
+TEST(SimGroupDifferential, AssociativeL1RunsFlatAndMatches)
 {
     CacheParams p;
     p.sizeBytes = 8_KiB;
@@ -209,11 +228,117 @@ TEST(SimGroupDifferential, AssociativeL1TakesGenericPathAndMatches)
     p.repl = ReplPolicy::LRU;
     SimGroup group;
     std::size_t lane = group.addSingleLevel(p);
-    EXPECT_FALSE(group.laneIsFlat(lane));
-    EXPECT_EQ(group.flatLaneCount(), 0u);
+    EXPECT_TRUE(group.laneIsFlat(lane));
+    EXPECT_EQ(group.flatLaneCount(), 1u);
     BatchEngine::run(sharedTrace(), kWarmup, group);
     expectSameStats(group.stats(lane),
                     solo<SingleLevelHierarchy>(kWarmup, p));
+}
+
+TEST(SimGroupDifferential, AssociativeL1PoliciesAndSeedsMatch)
+{
+    // Beyond SystemConfig's LRU L1s: FIFO and Random associative L1s
+    // under every lane flavour, each lane with one of two hierarchy
+    // seeds. A Random L1 draws from its seed, so lanes with different
+    // seeds must not share it; each lane must match its own solo run.
+    CacheParams l2;
+    l2.sizeBytes = 16_KiB;
+    l2.assoc = 4;
+    const TwoLevelPolicy policies[] = {TwoLevelPolicy::Inclusive,
+                                       TwoLevelPolicy::StrictInclusive,
+                                       TwoLevelPolicy::Exclusive};
+    for (ReplPolicy repl :
+         {ReplPolicy::Random, ReplPolicy::LRU, ReplPolicy::FIFO}) {
+        for (std::uint32_t ways : {2u, 8u}) {
+            CacheParams l1;
+            l1.sizeBytes = 2_KiB;
+            l1.assoc = ways;
+            l1.repl = repl;
+            SCOPED_TRACE(l1.toString());
+            std::vector<HierarchyStats> refs;
+            for (std::uint64_t seed : {1u, 7u}) {
+                refs.push_back(solo<SingleLevelHierarchy>(kWarmup, l1, seed));
+                for (TwoLevelPolicy policy : policies)
+                    refs.push_back(solo<TwoLevelHierarchy>(kWarmup, l1, l2,
+                                                           policy, seed));
+            }
+            if (repl == ReplPolicy::Random) {
+                // Otherwise a wrongly shared L1 could go unnoticed.
+                EXPECT_NE(refs[0].l1Misses(), refs[4].l1Misses());
+            }
+            SimGroup group;
+            std::vector<std::size_t> lanes;
+            for (std::uint64_t seed : {1u, 7u}) {
+                lanes.push_back(group.addSingleLevel(l1, seed));
+                for (TwoLevelPolicy policy : policies)
+                    lanes.push_back(
+                        group.addTwoLevel(l1, l2, policy, seed));
+            }
+            BatchEngine::run(sharedTrace(), kWarmup, group);
+            for (std::size_t i = 0; i < lanes.size(); ++i) {
+                SCOPED_TRACE("lane " + std::to_string(i));
+                expectSameStats(group.stats(lanes[i]), refs[i]);
+            }
+        }
+    }
+}
+
+TEST(SimGroupDifferential, L1sDifferingInWaysOrPolicyDoNotShare)
+{
+    // Same size and line, different ways or replacement policy:
+    // distinct L1s, so distinct groups and blocks. Their solo results
+    // differ, so a lane that joined another L1's walk would show up
+    // as a mismatch.
+    CacheParams dm;
+    dm.sizeBytes = 4_KiB;
+    CacheParams two = dm;
+    two.assoc = 2;
+    two.repl = ReplPolicy::LRU;
+    CacheParams fifo = two;
+    fifo.repl = ReplPolicy::FIFO;
+    CacheParams l2;
+    l2.sizeBytes = 32_KiB;
+    l2.assoc = 4;
+    struct Lane
+    {
+        CacheParams l1;
+        bool twoLevel;
+        TwoLevelPolicy policy;
+    };
+    std::vector<Lane> lanes;
+    for (TwoLevelPolicy policy :
+         {TwoLevelPolicy::Inclusive, TwoLevelPolicy::StrictInclusive,
+          TwoLevelPolicy::Exclusive}) {
+        for (const CacheParams &l1 : {dm, two, fifo})
+            lanes.push_back({l1, true, policy});
+    }
+    for (const CacheParams &l1 : {fifo, two, dm})
+        lanes.push_back({l1, false, TwoLevelPolicy::Inclusive});
+    std::vector<HierarchyStats> refs;
+    for (const Lane &l : lanes)
+        refs.push_back(l.twoLevel ? solo<TwoLevelHierarchy>(
+                                        kWarmup, l.l1, l2, l.policy)
+                                  : solo<SingleLevelHierarchy>(kWarmup, l.l1));
+    EXPECT_NE(refs[0].l1Misses(), refs[1].l1Misses());
+    EXPECT_NE(refs[1].l1Misses(), refs[2].l1Misses());
+
+    for (SimdBackend backend : runnableBackends()) {
+        SCOPED_TRACE(simdBackendName(backend));
+        BackendGuard guard(backend);
+        SimGroup group;
+        for (const Lane &l : lanes) {
+            if (l.twoLevel)
+                group.addTwoLevel(l.l1, l2, l.policy);
+            else
+                group.addSingleLevel(l.l1);
+        }
+        EXPECT_EQ(group.flatLaneCount(), lanes.size());
+        BatchEngine::run(sharedTrace(), kWarmup, group);
+        for (std::size_t i = 0; i < lanes.size(); ++i) {
+            SCOPED_TRACE("lane " + std::to_string(i));
+            expectSameStats(group.stats(i), refs[i]);
+        }
+    }
 }
 
 TEST(SimGroupDifferential, FlatTwoLevelMatchesHierarchy)
@@ -521,6 +646,121 @@ TEST(SimdBackendDifferential, StrictLaneCountsSpanVectorWidths)
     }
 }
 
+TEST(SimdBackendDifferential, AssociativeL1LanesMatchSoloOnEveryBackend)
+{
+    // Associative LRU L1s — 2 and 4 ways (FSM recency), 8 ways (the
+    // stamp fallback beyond kLruFsmMaxWays) and fully associative —
+    // under every lane flavour: L1-only, and inclusive, strict and
+    // exclusive over DM and 4-way L2s with every L2 replacement
+    // policy. All lanes of one L1 share its walk and miss queue (or
+    // its strict block), so both replays and the per-way strict
+    // probe run against solo Hierarchies on every backend.
+    std::vector<CacheParams> l1s;
+    for (auto [size, assoc] :
+         {std::pair<std::uint64_t, std::uint32_t>{2_KiB, 2},
+          {2_KiB, 4},
+          {2_KiB, 8},
+          {1_KiB, 0}}) {
+        CacheParams l1;
+        l1.sizeBytes = size;
+        l1.assoc = assoc;
+        l1.repl = ReplPolicy::LRU;
+        l1s.push_back(l1);
+    }
+    struct Lane
+    {
+        bool twoLevel;
+        CacheParams l2;
+        TwoLevelPolicy policy;
+    };
+    std::vector<Lane> lanes = {{false, {}, TwoLevelPolicy::Inclusive}};
+    for (std::uint32_t assoc : {1u, 4u})
+        for (ReplPolicy repl :
+             {ReplPolicy::Random, ReplPolicy::LRU, ReplPolicy::FIFO})
+            for (TwoLevelPolicy policy : {TwoLevelPolicy::Inclusive,
+                                          TwoLevelPolicy::StrictInclusive,
+                                          TwoLevelPolicy::Exclusive}) {
+                CacheParams l2;
+                l2.sizeBytes = 8_KiB;
+                l2.assoc = assoc;
+                l2.repl = repl;
+                lanes.push_back({true, l2, policy});
+            }
+
+    for (const CacheParams &l1 : l1s) {
+        SCOPED_TRACE(l1.toString());
+        std::vector<HierarchyStats> refs;
+        for (const Lane &l : lanes)
+            refs.push_back(l.twoLevel
+                               ? solo<TwoLevelHierarchy>(kWarmup, l1, l.l2,
+                                                         l.policy)
+                               : solo<SingleLevelHierarchy>(kWarmup, l1));
+        for (SimdBackend backend : runnableBackends()) {
+            SCOPED_TRACE(simdBackendName(backend));
+            BackendGuard guard(backend);
+            SimGroup group;
+            for (const Lane &l : lanes) {
+                if (l.twoLevel)
+                    group.addTwoLevel(l1, l.l2, l.policy);
+                else
+                    group.addSingleLevel(l1);
+            }
+            EXPECT_EQ(group.flatLaneCount(), lanes.size());
+            BatchEngine::run(sharedTrace(), kWarmup, group);
+            for (std::size_t i = 0; i < lanes.size(); ++i) {
+                SCOPED_TRACE("lane " + std::to_string(i));
+                expectSameStats(group.stats(i), refs[i]);
+            }
+        }
+    }
+}
+
+TEST(SimdBackendDifferential, StrictTwoWayBlocksSpanVectorWidths)
+{
+    // A strict block over a 2-way L1 probes one interleaved row per
+    // way, so the lane count is again the vector trip count: 1, 3 and
+    // 5 leave sub-width tails, 4 and 8 are whole vectors, 64 fills
+    // the 64-bit miss mask. Each lane gets a distinct L2 (small enough
+    // that L2 evictions back-invalidate L1 lines often).
+    CacheParams l1;
+    l1.sizeBytes = 2_KiB;
+    l1.assoc = 2;
+    l1.repl = ReplPolicy::LRU;
+    auto l2For = [](std::size_t i) {
+        CacheParams l2;
+        l2.sizeBytes = 4_KiB << (i % 3);
+        l2.assoc = (i % 2) ? 4 : 1;
+        l2.repl = (i % 3 == 0)   ? ReplPolicy::Random
+                  : (i % 3 == 1) ? ReplPolicy::LRU
+                                 : ReplPolicy::FIFO;
+        return l2;
+    };
+    std::vector<HierarchyStats> refs;
+    for (std::size_t i = 0; i < 64; ++i)
+        refs.push_back(solo<TwoLevelHierarchy>(
+            kWarmup, l1, l2For(i), TwoLevelPolicy::StrictInclusive));
+
+    for (std::size_t count : {std::size_t{1}, std::size_t{3},
+                              std::size_t{4}, std::size_t{5},
+                              std::size_t{8}, std::size_t{64}}) {
+        SCOPED_TRACE("lanes " + std::to_string(count));
+        for (SimdBackend backend : runnableBackends()) {
+            SCOPED_TRACE(simdBackendName(backend));
+            BackendGuard guard(backend);
+            SimGroup group;
+            for (std::size_t i = 0; i < count; ++i)
+                group.addTwoLevel(l1, l2For(i),
+                                  TwoLevelPolicy::StrictInclusive);
+            EXPECT_EQ(group.flatLaneCount(), count);
+            BatchEngine::run(sharedTrace(), kWarmup, group);
+            for (std::size_t i = 0; i < count; ++i) {
+                SCOPED_TRACE("lane " + std::to_string(i));
+                expectSameStats(group.stats(i), refs[i]);
+            }
+        }
+    }
+}
+
 TEST(SimdBackendDifferential, WarmupEdgesMatchUnderEveryBackend)
 {
     CacheParams l1;
@@ -607,12 +847,12 @@ TEST(BatchEngine, SimulateConfigsReportsLaneSplit)
     configs[1].l2Bytes = 32_KiB;
     configs[2].l1Bytes = 4_KiB;
     configs[2].l2Bytes = 32_KiB;
-    configs[2].assume.l1Assoc = 2; // associative L1s stay generic
+    configs[2].assume.l1Assoc = 2; // associative L1s are flat too
     BatchEngine::Result r =
         BatchEngine::simulateConfigs(sharedTrace(), kWarmup, configs);
     ASSERT_EQ(r.stats.size(), 3u);
-    EXPECT_EQ(r.flatLanes, 2u);
-    EXPECT_EQ(r.genericLanes, 1u);
+    EXPECT_EQ(r.flatLanes, 3u);
+    EXPECT_EQ(r.genericLanes, 0u);
     for (const HierarchyStats &s : r.stats)
         EXPECT_EQ(s.totalRefs(), kRefs - kWarmup);
 }

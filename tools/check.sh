@@ -10,7 +10,8 @@
 #                                   # the supervised-sweep recovery
 #                                   # drills (crash/hang/kill/resume
 #                                   # differentials) and the SIMD
-#                                   # dispatch drill (scalar==native)
+#                                   # dispatch drills (scalar==native,
+#                                   # direct-mapped and 2-way L1s)
 #   tools/check.sh --tier=asan      # robustness suites under ASan+UBSan
 #   tools/check.sh --tier=tsan      # parallel suites under TSan
 #   tools/check.sh --tier=smoke     # bench/example smoke runs, the
@@ -147,6 +148,30 @@ run_dispatch() {
         echo "TLC_SIMD=scalar sweep differs from native dispatch" >&2
         exit 1
     }
+
+    # The same comparison over 2-way LRU L1s, whose lanes walk the
+    # associative shared-L1 and strict-block kernels: one request per
+    # two-level policy, authored by tlc_client and switched to
+    # l1_assoc 2 (the canonical encoder spells the field one way).
+    echo "== dispatch drill: TLC_SIMD=scalar vs native, 2-way L1 requests =="
+    for policy in inclusive strict-inclusive exclusive; do
+        build/tools/tlc_client --print-request --bench=gcc1,espresso \
+            --refs=50000 --policy="$policy" |
+            sed 's/"l1_assoc": 1,/"l1_assoc": 2,/' > "$dd_dir/request.json"
+        grep -q '"l1_assoc": 2,' "$dd_dir/request.json" || {
+            echo "could not author a 2-way L1 request" >&2
+            exit 1
+        }
+        TLC_SIMD=scalar build/examples/design_explorer \
+            --request="$dd_dir/request.json" > "$dd_dir/scalar.json"
+        TLC_SIMD=native build/examples/design_explorer \
+            --request="$dd_dir/request.json" > "$dd_dir/native.json"
+        cmp "$dd_dir/scalar.json" "$dd_dir/native.json" || {
+            echo "TLC_SIMD=scalar 2-way L1 $policy response differs" \
+                 "from native dispatch" >&2
+            exit 1
+        }
+    done
     rm -rf "$dd_dir"
 }
 
