@@ -30,12 +30,6 @@ struct BoardStats
     std::uint64_t l3Misses = 0;          ///< main-memory accesses
     std::uint64_t backInvalidations = 0; ///< on-chip lines removed
     std::uint64_t linesInvalidated = 0;  ///< arrays hit by those
-
-    double l3LocalMissRate() const
-    {
-        std::uint64_t a = l3Hits + l3Misses;
-        return a ? static_cast<double>(l3Misses) / a : 0.0;
-    }
 };
 
 /**
@@ -65,9 +59,7 @@ class BoardLevelSystem : public Hierarchy
     void resetStats() override;
 
     const Hierarchy &onchip() const { return *onchip_; }
-    const Cache &boardCache() const { return board_; }
     const BoardStats &boardStats() const { return boardStats_; }
-    bool maintainsInclusion() const { return maintainInclusion_; }
 
     /**
      * Verify the inclusion property right now: every line resident

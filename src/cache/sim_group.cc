@@ -115,13 +115,6 @@ SimGroup::addTwoLevel(const CacheParams &l1_params,
     return lanes_.size() - 1;
 }
 
-bool
-SimGroup::laneIsFlat(std::size_t lane) const
-{
-    tlc_assert(lane < lanes_.size(), "lane %zu out of range", lane);
-    return true;
-}
-
 void
 SimGroup::accessRange(const TraceRecord *recs, std::size_t n)
 {

@@ -31,11 +31,14 @@
  *    of the same size and line land in different groups.
  *  - StrictLaneBlock — strict-inclusive lanes, which need private
  *    L1s (back-invalidation), interleaved per (set, way) so vector
- *    compares answer every lane's L1 lookup at once.
+ *    compares answer every lane's L1 lookup at once; one kernel
+ *    serves every L1 associativity. Direct-mapped L1s share a block
+ *    whatever replacement policy they name (it is unobservable).
  *
- * Every lane is flat: these two layouts cover every shape SimGroup
- * accepts. Solo SingleLevelHierarchy/TwoLevelHierarchy remain the
- * reference model the differentials check the lanes against.
+ * These two layouts cover every shape SimGroup accepts, so there is
+ * one kind of lane. Solo SingleLevelHierarchy/TwoLevelHierarchy
+ * remain the reference model the differentials check the lanes
+ * against.
  *
  * Equivalence contract: every lane produces HierarchyStats
  * byte-identical to running the corresponding Hierarchy alone over
@@ -66,8 +69,8 @@ namespace tlc {
  * A group of independent cache hierarchies simulated in one trace
  * pass. Add every lane, then drive records through accessRange();
  * stats are read back per lane by the index add*() returned. Adding
- * a lane after records have run is a caller bug and fatal: a flat
- * lane would join state that is no longer cold.
+ * a lane after records have run is a caller bug and fatal: the lane
+ * would join state that is no longer cold.
  */
 class SimGroup
 {
@@ -95,19 +98,10 @@ class SimGroup
     std::size_t laneCount() const { return lanes_.size(); }
 
     /**
-     * Lanes on the structure-of-arrays fast path (for metrics) —
-     * every lane, since no shape needs the virtual Hierarchy path.
-     */
-    std::size_t flatLaneCount() const { return lanes_.size(); }
-
-    /** Does @p lane run on the flat fast path? Always, see above. */
-    bool laneIsFlat(std::size_t lane) const;
-
-    /**
      * Apply @p n records to every lane. Records are processed in
      * blocks, lane-major within a block, so each lane's tag state
-     * stays hot while the block is replayed against it. The flat
-     * flavours run through the kernel set of the active SIMD backend
+     * stays hot while the block is replayed against it. The lanes
+     * run through the kernel set of the active SIMD backend
      * (util/simd.hh), resolved per call.
      */
     void accessRange(const TraceRecord *recs, std::size_t n);

@@ -112,26 +112,47 @@ lruFsmForWays(std::uint32_t ways)
 }
 
 // ---------------------------------------------------------------------
-// FlatCache
+// ReplState / FlatCache
 // ---------------------------------------------------------------------
 
-FlatCache::FlatCache(const CacheParams &p, std::uint64_t seed)
-    : rng(seed, 0xcac4e) // Cache's stream id, for identical draws
+ReplState::ReplState(const CacheParams &p)
 {
     p.validate();
-    lineShift = log2i(p.lineBytes);
     ways = p.ways();
+    repl = p.repl;
+    if (ways == 1)
+        keeps = Keeps::Nothing;
+    else if (repl == ReplPolicy::Random)
+        keeps = Keeps::Rng;
+    else if (const LruFsm *fsm = lruFsmForWays(ways)) {
+        keeps = Keeps::Fsm;
+        fsmNext = fsm->next.data();
+        fsmVictim = fsm->victim.data();
+    } else {
+        keeps = Keeps::Stamps;
+    }
+}
+
+void
+ReplState::resize(std::size_t sets, std::size_t words)
+{
+    // Fresh state: state 0 is the identity permutation, stamp 0 is
+    // older than any stamp a step writes.
+    if (keeps == Keeps::Fsm)
+        fsmState.assign(sets, FsmState{});
+    else if (keeps == Keeps::Stamps)
+        stamps.assign(words, 0);
+}
+
+FlatCache::FlatCache(const CacheParams &p, std::uint64_t seed)
+    : ReplState(p),
+      rng(seed, 0xcac4e) // Cache's stream id, for identical draws
+{
+    lineShift = log2i(p.lineBytes);
     std::uint64_t sets = p.numSets();
     setMask = static_cast<std::uint32_t>(sets - 1);
-    repl = p.repl;
     entries.resize(sets * ways);
-    if (repl != ReplPolicy::Random) {
-        fsm = lruFsmForWays(ways);
-        if (fsm != nullptr)
-            fsmState.resize(sets); // state 0: identity permutation
-        else
-            stamps.resize(sets * ways);
-    }
+    resize(sets, sets * ways);
 }
 
 // ---------------------------------------------------------------------
@@ -154,14 +175,11 @@ SharedL1Group::SharedL1Group(const CacheParams &p, std::uint64_t seed)
     }
 }
 
-StrictLaneBlock::StrictLaneBlock(const CacheParams &p) : l1Params(p)
+StrictLaneBlock::StrictLaneBlock(const CacheParams &p)
+    : l1Params(p), l1Repl(p)
 {
-    p.validate();
     lineShift = log2i(p.lineBytes);
     setMask = static_cast<std::uint32_t>(p.numSets() - 1);
-    l1Ways = p.ways();
-    if (l1Ways > 1 && p.repl != ReplPolicy::Random)
-        l1Fsm = lruFsmForWays(l1Ways);
 }
 
 std::uint32_t
@@ -174,21 +192,11 @@ StrictLaneBlock::addLane(const CacheParams &l2_params, std::uint64_t seed)
     // is still zero (lanes are only added before the first record),
     // so resizing is the whole job.
     std::uint64_t slots = l1Params.numSets() * 2;
-    l1Entries.assign(slots * l1Ways * width(), 0);
-    if (l1Ways > 1) {
-        switch (l1Params.repl) {
-          case ReplPolicy::Random:
-            l1Rngs.emplace_back(seed, 0xcac4e); // Cache's stream id
-            l1Rngs.emplace_back(seed + 1, 0xcac4e);
-            break;
-          case ReplPolicy::LRU:
-          case ReplPolicy::FIFO:
-            if (l1Fsm != nullptr)
-                l1FsmState.assign(slots * width(), FsmState{});
-            else
-                l1Stamps.assign(slots * l1Ways * width(), 0);
-            break;
-        }
+    l1Entries.assign(slots * l1Repl.ways * width(), 0);
+    l1Repl.resize(slots * width(), l1Entries.size());
+    if (l1Repl.keeps == ReplState::Keeps::Rng) {
+        l1Rngs.emplace_back(seed, 0xcac4e); // Cache's stream id
+        l1Rngs.emplace_back(seed + 1, 0xcac4e);
     }
     return width() - 1;
 }

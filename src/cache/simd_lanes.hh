@@ -34,13 +34,18 @@
  *    same L1 shape still probe the same (set, I/D) slot for every
  *    record. The block interleaves up to kMaxBlockLanes lanes' L1 tag
  *    words per (slot, way) row (entries[(slot * ways + way) * width +
- *    lane]), and vector compares over a slot's rows answer "which
- *    lanes missed?" as a bitmask; only the missing lanes fall into
- *    the scalar per-lane L2 path. An associative L1 keeps its recency
- *    state per (slot, lane).
+ *    lane]), and one kernel serves every associativity, direct-mapped
+ *    included: probeRow over a slot's rows answers "which lanes
+ *    missed?" as a bitmask and dirties a store's hit lanes; only the
+ *    missing lanes fall into the scalar per-lane L2 path. An
+ *    associative L1 keeps its recency state per (slot, lane).
  *
  *  - FlatCache: the packed tag state of one member L2 or one side of
- *    a shared associative L1, with precomputed LRU/FIFO FSM
+ *    a shared associative L1.
+ *
+ *  - ReplState: the replacement state behind a FlatCache's sets and a
+ *    strict block's (slot, lane) pairs alike, stepped by one victim
+ *    and one recency routine; LRU/FIFO recency uses precomputed FSM
  *    transition tables (permutation-coded recency state, one table
  *    lookup per touch or fill instead of a stamp array scan) for
  *    2..kLruFsmMaxWays ways.
@@ -234,33 +239,54 @@ struct LruFsm
 const LruFsm *lruFsmForWays(std::uint32_t ways);
 
 /**
+ * The replacement state of one tag array: what Cache's victim choice
+ * consults once every way of a set is valid. The constructor is the
+ * one place that decides what a (ways, repl) shape keeps: Nothing
+ * when direct-mapped (the victim is way 0); under Random a Pcg32 per
+ * cache, which the owner holds (Rng); under LRU/FIFO an FsmState per
+ * set up to kLruFsmMaxWays ways (Fsm), else a stamp per way laid out
+ * like the tag words (Stamps). The kernels' victimWayK and
+ * promoteWayK are the only code that reads or steps it.
+ */
+struct ReplState
+{
+    enum class Keeps : std::uint8_t { Nothing, Rng, Fsm, Stamps };
+
+    std::uint32_t ways = 1;
+    ReplPolicy repl = ReplPolicy::Random;
+    Keeps keeps = Keeps::Nothing;
+    const FsmState *fsmNext = nullptr;       ///< LruFsm::next, if Fsm
+    const std::uint8_t *fsmVictim = nullptr; ///< LruFsm::victim, if Fsm
+    std::vector<FsmState> fsmState;          ///< per set, if Fsm
+    std::vector<std::uint64_t> stamps;       ///< per tag word, if Stamps
+    std::uint64_t tick = 0;
+
+    explicit ReplState(const CacheParams &p);
+
+    /** Zeroed state for @p sets sets over @p words tag words. */
+    void resize(std::size_t sets, std::size_t words);
+};
+
+/**
  * Flat tag state of one Cache — a member L2, or the I or D side of a
  * shared associative L1: the kernels in
  * simd_lanes_body.inc keep Cache's victim-selection order (invalid
  * scan, then policy), Pcg32 stream and LRU/FIFO ordering over it, so
  * the stats match a real Cache draw for draw. Entries pack
- * (line << 2) | flags, [set][way] row-major. Replacement state is, in
- * preference order: nothing under Random (unobservable), the FSM
- * state byte per set when the associativity has a table, else the
- * stamp array.
+ * (line << 2) | flags, [set][way] row-major; the replacement state
+ * (the ReplState base) is kept per set.
  *
  * State only: the probe loops live in the per-backend kernel TUs so
  * each backend's vector width applies (header-inline vector code
  * would ODR-merge across TUs compiled for different ISAs — see
  * util/simd.hh).
  */
-struct FlatCache
+struct FlatCache : ReplState
 {
     std::uint32_t lineShift = 0;
-    std::uint32_t ways = 1;
     std::uint32_t setMask = 0;
-    ReplPolicy repl = ReplPolicy::Random;
-    const LruFsm *fsm = nullptr;        ///< non-null: fsmState in use
     TagVector entries;                  ///< (line << 2) | flags
-    std::vector<std::uint64_t> stamps;  ///< LRU/FIFO fallback ordering
-    std::vector<FsmState> fsmState;     ///< per-set recency permutation
-    std::uint64_t tick = 0;
-    Pcg32 rng;
+    Pcg32 rng;                          ///< the Random victim draws
 
     FlatCache(const CacheParams &p, std::uint64_t seed);
 };
@@ -348,11 +374,12 @@ struct SharedL1Group
  * interleaved in one row per (set, I/D) slot and way:
  * l1Entries[(slot * ways + way) * width() + lane]. Vector compares
  * over a slot's rows yield the miss bitmask for all lanes at once;
- * L2 state and stats stay per lane. An associative L1 keeps its recency state per
- * (slot, lane) the way FlatCache keeps it per set: an FSM state byte
- * when the associativity has a table, else stamps laid out like the
- * tag words; under Random each lane's I and D sides draw from their
- * own Pcg32, seeded as the solo hierarchy seeds them.
+ * L2 state and stats stay per lane. The L1's replacement state is
+ * per (slot, lane), the way a FlatCache keeps it per set: an FSM
+ * state at [slot * width() + lane], or stamps laid out like the tag
+ * words; under Random each lane's I and D sides draw from their own
+ * Pcg32, seeded as the solo hierarchy seeds them. A direct-mapped L1
+ * keeps none of it.
  */
 struct StrictLaneBlock
 {
@@ -362,15 +389,11 @@ struct StrictLaneBlock
     CacheParams l1Params; ///< grouping key (sizeBytes, lineBytes, ways, repl)
     std::uint32_t lineShift = 0;
     std::uint32_t setMask = 0;
-    std::uint32_t l1Ways = 1;
-    const LruFsm *l1Fsm = nullptr; ///< non-null: l1FsmState in use
     TagVector l1Entries;           ///< [(slot * ways + way) * width() + lane]
-    std::vector<FsmState> l1FsmState;     ///< [slot * width() + lane]
-    std::vector<std::uint64_t> l1Stamps;  ///< laid out as l1Entries
-    std::uint64_t l1Tick = 0;
-    std::vector<Pcg32> l1Rngs;            ///< [lane * 2 + I/D]
-    std::vector<FlatCache> l2s;           ///< per lane
-    std::vector<HierarchyStats> stats;    ///< per lane
+    ReplState l1Repl;              ///< sets are (slot, lane) pairs
+    std::vector<Pcg32> l1Rngs;     ///< [lane * 2 + I/D], when l1Repl keeps Rng
+    std::vector<FlatCache> l2s;    ///< per lane
+    std::vector<HierarchyStats> stats; ///< per lane
 
     explicit StrictLaneBlock(const CacheParams &p);
 

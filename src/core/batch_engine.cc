@@ -17,17 +17,12 @@ struct BatchMetrics
 {
     MetricCounter &groups;
     MetricCounter &lanes;
-    MetricCounter &fastLanes;
-    MetricCounter &genericLanes;
 
     static BatchMetrics &get()
     {
         static BatchMetrics m{
             MetricsRegistry::global().counter("explore.batch.groups"),
             MetricsRegistry::global().counter("explore.batch.lanes"),
-            MetricsRegistry::global().counter("explore.batch.fast_lanes"),
-            MetricsRegistry::global().counter(
-                "explore.batch.generic_lanes"),
         };
         return m;
     }
@@ -72,13 +67,11 @@ BatchEngine::simulateConfigs(const TraceBuffer &trace,
     r.stats.reserve(configs.size());
     for (std::size_t lane = 0; lane < group.laneCount(); ++lane)
         r.stats.push_back(group.stats(lane));
-    r.flatLanes = group.flatLaneCount();
+    r.flatLanes = group.laneCount();
 
     BatchMetrics &m = BatchMetrics::get();
     m.groups.inc();
     m.lanes.inc(group.laneCount());
-    m.fastLanes.inc(r.flatLanes);
-    m.genericLanes.inc(r.genericLanes);
     return r;
 }
 

@@ -16,8 +16,8 @@
  * batch of one.
  *
  * Instrumentation: each call is timed under the "sim.batch" profiler
- * phase and counted in the explore.batch.* metrics (groups, lanes,
- * how many lanes ran on the flat fast path).
+ * phase and counted in the explore.batch.groups and
+ * explore.batch.lanes metrics.
  */
 
 #ifndef TLC_CORE_BATCH_ENGINE_HH
@@ -46,11 +46,10 @@ class BatchEngine
     {
         /** Per-config stats, ordered like the input span. */
         std::vector<HierarchyStats> stats;
-        std::size_t flatLanes = 0; ///< lanes on the SoA fast path
-        /** Lanes on a virtual Hierarchy path: always 0 since every
-         *  SimGroup lane is flat; still reported (and counted as
-         *  explore.batch.generic_lanes) for the readers of the
-         *  lane split. */
+        /** flatLanes counts every lane and genericLanes is always 0:
+         *  there is one lane kind. Both stay only because
+         *  bench/layers/probes.cc still reads them. */
+        std::size_t flatLanes = 0;
         std::size_t genericLanes = 0;
     };
 

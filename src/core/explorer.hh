@@ -271,8 +271,6 @@ class Explorer
                              double min_interval_seconds = 0.25);
 
     MissRateEvaluator &evaluator() { return evaluator_; }
-    const AccessTimeModel &timingModel() const { return timing_; }
-    const AreaModel &areaModel() const { return area_; }
 
     /**
      * Assemble a DesignPoint from already-computed miss statistics:

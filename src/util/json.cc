@@ -1,7 +1,7 @@
 /**
  * @file
  * JSON helper implementation: escaping, number formatting, and a
- * recursive-descent syntax checker.
+ * recursive-descent parser (which is also the syntax check).
  */
 
 #include "json.hh"
@@ -82,13 +82,9 @@ jsonNumber(double v)
     return out;
 }
 
-// ---------------------------------------------------------------------
-// Syntax checker
-// ---------------------------------------------------------------------
-
 namespace {
 
-/** Cursor over the document; all check* functions advance it. */
+/** Cursor over the document; the parser's steps advance it. */
 struct Cursor
 {
     const char *p;
@@ -128,157 +124,7 @@ struct Cursor
     }
 };
 
-bool checkValue(Cursor &c);
-
-bool
-checkString(Cursor &c)
-{
-    if (!c.consume('"'))
-        return false;
-    while (!c.eof()) {
-        unsigned char ch = static_cast<unsigned char>(*c.p++);
-        if (ch == '"')
-            return true;
-        if (ch < 0x20)
-            return false; // raw control character
-        if (ch == '\\') {
-            if (c.eof())
-                return false;
-            char esc = *c.p++;
-            switch (esc) {
-              case '"':
-              case '\\':
-              case '/':
-              case 'b':
-              case 'f':
-              case 'n':
-              case 'r':
-              case 't':
-                break;
-              case 'u':
-                for (int i = 0; i < 4; ++i) {
-                    if (c.eof() ||
-                        !std::isxdigit(static_cast<unsigned char>(*c.p))) {
-                        return false;
-                    }
-                    ++c.p;
-                }
-                break;
-              default:
-                return false;
-            }
-        }
-    }
-    return false; // unterminated
-}
-
-bool
-checkNumber(Cursor &c)
-{
-    c.consume('-');
-    if (c.eof() || !std::isdigit(static_cast<unsigned char>(c.peek())))
-        return false;
-    if (!c.consume('0')) {
-        while (!c.eof() && std::isdigit(static_cast<unsigned char>(c.peek())))
-            ++c.p;
-    }
-    if (c.consume('.')) {
-        if (c.eof() || !std::isdigit(static_cast<unsigned char>(c.peek())))
-            return false;
-        while (!c.eof() && std::isdigit(static_cast<unsigned char>(c.peek())))
-            ++c.p;
-    }
-    if (!c.eof() && (c.peek() == 'e' || c.peek() == 'E')) {
-        ++c.p;
-        if (!c.eof() && (c.peek() == '+' || c.peek() == '-'))
-            ++c.p;
-        if (c.eof() || !std::isdigit(static_cast<unsigned char>(c.peek())))
-            return false;
-        while (!c.eof() && std::isdigit(static_cast<unsigned char>(c.peek())))
-            ++c.p;
-    }
-    return true;
-}
-
-bool
-checkObject(Cursor &c)
-{
-    if (!c.consume('{'))
-        return false;
-    c.skipWs();
-    if (c.consume('}'))
-        return true;
-    for (;;) {
-        c.skipWs();
-        if (!checkString(c))
-            return false;
-        c.skipWs();
-        if (!c.consume(':'))
-            return false;
-        if (!checkValue(c))
-            return false;
-        c.skipWs();
-        if (c.consume('}'))
-            return true;
-        if (!c.consume(','))
-            return false;
-    }
-}
-
-bool
-checkArray(Cursor &c)
-{
-    if (!c.consume('['))
-        return false;
-    c.skipWs();
-    if (c.consume(']'))
-        return true;
-    for (;;) {
-        if (!checkValue(c))
-            return false;
-        c.skipWs();
-        if (c.consume(']'))
-            return true;
-        if (!c.consume(','))
-            return false;
-    }
-}
-
-bool
-checkValue(Cursor &c)
-{
-    c.skipWs();
-    if (c.eof())
-        return false;
-    switch (c.peek()) {
-      case '{':
-        return checkObject(c);
-      case '[':
-        return checkArray(c);
-      case '"':
-        return checkString(c);
-      case 't':
-        return c.literal("true");
-      case 'f':
-        return c.literal("false");
-      case 'n':
-        return c.literal("null");
-      default:
-        return checkNumber(c);
-    }
-}
-
 } // namespace
-
-bool
-jsonSyntaxOk(const std::string &text)
-{
-    Cursor c{text.data(), text.data() + text.size()};
-    if (!checkValue(c))
-        return false;
-    c.skipWs();
-    return c.eof();
-}
 
 // ---------------------------------------------------------------------
 // Value parser
@@ -521,13 +367,32 @@ struct Parser
         }
     }
 
+    /** Skip a run of digits; false if there is none. */
+    bool digits()
+    {
+        const char *start = c.p;
+        while (!c.eof() && std::isdigit(static_cast<unsigned char>(c.peek())))
+            ++c.p;
+        return c.p != start;
+    }
+
     bool parseNumber(JsonValue &out)
     {
         const char *start = c.p;
-        if (!checkNumber(c))
+        c.consume('-');
+        if (!c.consume('0') && !digits())
             return fail("invalid number");
-        std::string digits(start, c.p);
-        out = JsonValue::makeNumber(std::strtod(digits.c_str(), nullptr));
+        if (c.consume('.') && !digits())
+            return fail("invalid number");
+        if (!c.eof() && (c.peek() == 'e' || c.peek() == 'E')) {
+            ++c.p;
+            if (!c.eof() && (c.peek() == '+' || c.peek() == '-'))
+                ++c.p;
+            if (!digits())
+                return fail("invalid number");
+        }
+        std::string text(start, c.p);
+        out = JsonValue::makeNumber(std::strtod(text.c_str(), nullptr));
         return true;
     }
 
@@ -638,6 +503,12 @@ jsonParse(const std::string &text)
         return p.error;
     }
     return v;
+}
+
+bool
+jsonSyntaxOk(const std::string &text)
+{
+    return jsonParse(text).ok();
 }
 
 } // namespace tlc

@@ -6,9 +6,9 @@
  * manifest all emit JSON by hand (this repository deliberately has
  * no third-party dependencies). This header centralises the two
  * things hand-written JSON gets wrong: string escaping and numeric
- * formatting. It also provides a strict syntax checker so tests and
- * tools can assert "this blob parses as JSON" without a parser
- * library.
+ * formatting. It also provides a strict parser, whose verdict alone
+ * lets tests and tools assert "this blob parses as JSON" without a
+ * parser library.
  */
 
 #ifndef TLC_UTIL_JSON_HH
@@ -38,9 +38,10 @@ std::string jsonQuote(const std::string &s);
 std::string jsonNumber(double v);
 
 /**
- * Strict syntax check of one complete JSON document (RFC 8259:
- * any value at the top level, no trailing garbage). Validates
- * structure only — no limits on depth or duplicate keys.
+ * Does @p text parse as one complete JSON document? Exactly
+ * jsonParse(text).ok(): one grammar, so anything this accepts the
+ * service codec accepts too — including its hardening rules (no
+ * duplicate object keys, no nesting beyond 64 levels).
  */
 bool jsonSyntaxOk(const std::string &text);
 

@@ -119,11 +119,13 @@ void clearSimdBackendOverride();
 //     bit i set iff (p[i] & ~ignore) == want, for i in [0, n)
 //   zeroMask(p, n, bit)
 //     bit i set iff (p[i] & bit) == 0, for i in [0, n)
-//   probeRow(row, n, want, orOnHit)
-//     the SoA lane probe: for each i, hit iff
-//     (row[i] & ~orOnHitIgnored) == want where the dirty bit is
-//     ignored in the compare; hits get row[i] |= orOnHit, misses are
-//     left untouched; returns the miss bitmask over [0, n).
+//   probeRow(row, n, want, dirtyBit, orOnHit)
+//     the strict-block probe, for every associativity: for each i,
+//     hit iff (row[i] & ~dirtyBit) == want; hits get
+//     row[i] |= orOnHit (a store's dirty bit), misses keep their
+//     value for the caller's refill to read; returns the miss bitmask
+//     over [0, n). The words may be one way row (bit = lane) or a
+//     slot's way rows back to back (bit = way * lanes + lane).
 //
 // n is at most 64 (bitmask results); lane blocks enforce that cap.
 
@@ -208,11 +210,14 @@ probeRow(std::uint64_t *row, std::uint32_t n, std::uint64_t want,
         miss |= (~hitBits & 0xf) << i;
     }
     for (; i < n; ++i) {
+        // Branchless, as in the scalar variant (which way of a set
+        // hits predicts poorly), and like the vector step it stores
+        // only when there is a bit to set.
         std::uint64_t e = row[i];
-        if ((e & ~dirtyBit) == want)
-            row[i] = e | orOnHit;
-        else
-            miss |= std::uint64_t(1) << i;
+        bool hit = (e & ~dirtyBit) == want;
+        if (orOnHit)
+            row[i] = hit ? (e | orOnHit) : e;
+        miss |= static_cast<std::uint64_t>(!hit) << i;
     }
     return miss;
 }
@@ -281,11 +286,14 @@ probeRow(std::uint64_t *row, std::uint32_t n, std::uint64_t want,
         miss |= (~vgetq_lane_u64(hit, 1) & 1) << (i + 1);
     }
     for (; i < n; ++i) {
+        // Branchless, as in the scalar variant (which way of a set
+        // hits predicts poorly), and like the vector step it stores
+        // only when there is a bit to set.
         std::uint64_t e = row[i];
-        if ((e & ~dirtyBit) == want)
-            row[i] = e | orOnHit;
-        else
-            miss |= std::uint64_t(1) << i;
+        bool hit = (e & ~dirtyBit) == want;
+        if (orOnHit)
+            row[i] = hit ? (e | orOnHit) : e;
+        miss |= static_cast<std::uint64_t>(!hit) << i;
     }
     return miss;
 }

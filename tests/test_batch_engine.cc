@@ -208,10 +208,8 @@ TEST(SimGroupDifferential, DmSingleLevelMatchesHierarchy)
             p.lineBytes = line;
             shapes.push_back(p);
         }
-    for (const CacheParams &p : shapes) {
-        std::size_t lane = group.addSingleLevel(p);
-        EXPECT_TRUE(group.laneIsFlat(lane));
-    }
+    for (const CacheParams &p : shapes)
+        group.addSingleLevel(p);
     BatchEngine::run(sharedTrace(), kWarmup, group);
     for (std::size_t i = 0; i < shapes.size(); ++i) {
         SCOPED_TRACE("lane " + std::to_string(i));
@@ -228,8 +226,7 @@ TEST(SimGroupDifferential, AssociativeL1RunsFlatAndMatches)
     p.repl = ReplPolicy::LRU;
     SimGroup group;
     std::size_t lane = group.addSingleLevel(p);
-    EXPECT_TRUE(group.laneIsFlat(lane));
-    EXPECT_EQ(group.flatLaneCount(), 1u);
+    EXPECT_EQ(group.laneCount(), 1u);
     BatchEngine::run(sharedTrace(), kWarmup, group);
     expectSameStats(group.stats(lane),
                     solo<SingleLevelHierarchy>(kWarmup, p));
@@ -332,7 +329,7 @@ TEST(SimGroupDifferential, L1sDifferingInWaysOrPolicyDoNotShare)
             else
                 group.addSingleLevel(l.l1);
         }
-        EXPECT_EQ(group.flatLaneCount(), lanes.size());
+        EXPECT_EQ(group.laneCount(), lanes.size());
         BatchEngine::run(sharedTrace(), kWarmup, group);
         for (std::size_t i = 0; i < lanes.size(); ++i) {
             SCOPED_TRACE("lane " + std::to_string(i));
@@ -368,8 +365,7 @@ TEST(SimGroupDifferential, FlatTwoLevelMatchesHierarchy)
         l2.assoc = s.l2Assoc;
         l2.repl = s.repl;
         l2s.push_back(l2);
-        std::size_t lane = group.addTwoLevel(l1, l2, s.policy);
-        EXPECT_TRUE(group.laneIsFlat(lane));
+        group.addTwoLevel(l1, l2, s.policy);
     }
     BatchEngine::run(sharedTrace(), kWarmup, group);
     for (std::size_t i = 0; i < shapes.size(); ++i) {
@@ -390,7 +386,6 @@ TEST(SimGroupDifferential, ExclusiveRunsOnSharedL1AndMatches)
     SimGroup group;
     std::size_t lane =
         group.addTwoLevel(l1, l2, TwoLevelPolicy::Exclusive);
-    EXPECT_TRUE(group.laneIsFlat(lane));
     BatchEngine::run(sharedTrace(), kWarmup, group);
     expectSameStats(group.stats(lane),
                     solo<TwoLevelHierarchy>(kWarmup, l1, l2,
@@ -437,7 +432,7 @@ TEST(SimGroupDifferential, ExclusiveSwapCornerCases)
         SimGroup group;
         for (const CacheParams &l2 : l2s)
             group.addTwoLevel(l1, l2, TwoLevelPolicy::Exclusive);
-        EXPECT_EQ(group.flatLaneCount(), l2s.size());
+        EXPECT_EQ(group.laneCount(), l2s.size());
         BatchEngine::run(trace, 0, group);
         for (std::size_t i = 0; i < l2s.size(); ++i) {
             SCOPED_TRACE(l2s[i].toString());
@@ -493,7 +488,7 @@ TEST(SimGroupDifferential, MixedPoliciesShareOneL1InAnyLaneOrder)
                                ? group.addTwoLevel(l1, l.l2, l.policy)
                                : group.addSingleLevel(l1);
             }
-            EXPECT_EQ(group.flatLaneCount(), lanes.size());
+            EXPECT_EQ(group.laneCount(), lanes.size());
             BatchEngine::run(sharedTrace(), kWarmup, group);
             for (std::size_t i = 0; i < lanes.size(); ++i) {
                 SCOPED_TRACE("lane " + std::to_string(i));
@@ -607,10 +602,20 @@ TEST(SimdBackendDifferential, StrictLaneCountsSpanVectorWidths)
     // vector sweep over an interleaved row, so the lane count is the
     // vector trip count: 1 and 7 exercise sub-width tails, 8 and 9
     // the exact-width and width-plus-one boundaries, 32 several full
-    // vectors per row. Each lane gets a distinct L2 so a lane-index
-    // mixup cannot cancel out.
-    CacheParams l1;
-    l1.sizeBytes = 1_KiB;
+    // vectors per row, 64 a full block (an all-ones lane mask). Each
+    // lane gets a distinct L2 so a lane-index mixup cannot cancel
+    // out. The lanes' direct-mapped L1s name different replacement
+    // policies, lane 0's LRU: a direct-mapped L1 has no choice of
+    // way, so they all share one block, and every lane must still
+    // match its own solo run whatever lane 0 names.
+    auto l1For = [](std::size_t i) {
+        CacheParams l1;
+        l1.sizeBytes = 1_KiB;
+        l1.repl = (i % 3 == 0)   ? ReplPolicy::LRU
+                  : (i % 3 == 1) ? ReplPolicy::Random
+                                 : ReplPolicy::FIFO;
+        return l1;
+    };
     auto l2For = [](std::size_t i) {
         CacheParams l2;
         l2.sizeBytes = 8_KiB << (i % 4);
@@ -623,20 +628,21 @@ TEST(SimdBackendDifferential, StrictLaneCountsSpanVectorWidths)
 
     for (std::size_t count : {std::size_t{1}, std::size_t{7},
                               std::size_t{8}, std::size_t{9},
-                              std::size_t{32}}) {
+                              std::size_t{32}, std::size_t{64}}) {
         SCOPED_TRACE("lanes " + std::to_string(count));
         std::vector<HierarchyStats> refs;
         for (std::size_t i = 0; i < count; ++i)
             refs.push_back(solo<TwoLevelHierarchy>(
-                kWarmup, l1, l2For(i), TwoLevelPolicy::StrictInclusive));
+                kWarmup, l1For(i), l2For(i),
+                TwoLevelPolicy::StrictInclusive));
         for (SimdBackend backend : runnableBackends()) {
             SCOPED_TRACE(simdBackendName(backend));
             BackendGuard guard(backend);
             SimGroup group;
             for (std::size_t i = 0; i < count; ++i)
-                group.addTwoLevel(l1, l2For(i),
+                group.addTwoLevel(l1For(i), l2For(i),
                                   TwoLevelPolicy::StrictInclusive);
-            EXPECT_EQ(group.flatLaneCount(), count);
+            EXPECT_EQ(group.laneCount(), count);
             BatchEngine::run(sharedTrace(), kWarmup, group);
             for (std::size_t i = 0; i < count; ++i) {
                 SCOPED_TRACE("lane " + std::to_string(i));
@@ -705,7 +711,7 @@ TEST(SimdBackendDifferential, AssociativeL1LanesMatchSoloOnEveryBackend)
                 else
                     group.addSingleLevel(l1);
             }
-            EXPECT_EQ(group.flatLaneCount(), lanes.size());
+            EXPECT_EQ(group.laneCount(), lanes.size());
             BatchEngine::run(sharedTrace(), kWarmup, group);
             for (std::size_t i = 0; i < lanes.size(); ++i) {
                 SCOPED_TRACE("lane " + std::to_string(i));
@@ -751,7 +757,7 @@ TEST(SimdBackendDifferential, StrictTwoWayBlocksSpanVectorWidths)
             for (std::size_t i = 0; i < count; ++i)
                 group.addTwoLevel(l1, l2For(i),
                                   TwoLevelPolicy::StrictInclusive);
-            EXPECT_EQ(group.flatLaneCount(), count);
+            EXPECT_EQ(group.laneCount(), count);
             BatchEngine::run(sharedTrace(), kWarmup, group);
             for (std::size_t i = 0; i < count; ++i) {
                 SCOPED_TRACE("lane " + std::to_string(i));

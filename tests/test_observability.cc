@@ -66,6 +66,9 @@ TEST(Json, SyntaxCheckerAcceptsValidDocuments)
     EXPECT_TRUE(jsonSyntaxOk("true"));
     EXPECT_TRUE(jsonSyntaxOk(" { \"a\" : [1, 2.5, null, {\"b\": "
                              "\"\\u0041\\n\"}] } "));
+    EXPECT_TRUE(jsonSyntaxOk("{\"a\": {\"a\": 1}}"));
+    // 65 nested arrays: depth 64 below the top, the parser's limit.
+    EXPECT_TRUE(jsonSyntaxOk(std::string(65, '[') + std::string(65, ']')));
 }
 
 TEST(Json, SyntaxCheckerRejectsMalformedDocuments)
@@ -81,6 +84,13 @@ TEST(Json, SyntaxCheckerRejectsMalformedDocuments)
     EXPECT_FALSE(jsonSyntaxOk("\"unterminated"));
     EXPECT_FALSE(jsonSyntaxOk("{'a': 1}"));
     EXPECT_FALSE(jsonSyntaxOk("nul"));
+    EXPECT_FALSE(jsonSyntaxOk("-"));
+    EXPECT_FALSE(jsonSyntaxOk("1."));
+    EXPECT_FALSE(jsonSyntaxOk("1e+"));
+    // The check is jsonParse's verdict, hardening rules included.
+    EXPECT_FALSE(jsonSyntaxOk("{\"a\": 1, \"a\": 2}"));
+    EXPECT_FALSE(jsonSyntaxOk("\"\\ud83d\""));
+    EXPECT_FALSE(jsonSyntaxOk(std::string(66, '[') + std::string(66, ']')));
 }
 
 // ------------------------------------------------------------- metrics
@@ -489,8 +499,6 @@ TEST(ReferenceSweep, CountersAndPhaseCallsArePinned)
         {"cache.refs.data", 73797750},
         {"cache.refs.instr", 209702250},
         {"cache.simulations", 315},
-        {"explore.batch.fast_lanes", 315},
-        {"explore.batch.generic_lanes", 0},
         {"explore.batch.groups", 14},
         {"explore.batch.lanes", 315},
         {"explore.missrate_cache.hits", 0},

@@ -168,7 +168,7 @@ TEST(Telemetry, SupervisedRollupsEqualInProcessCounters)
         ASSERT_EQ(inproc.points.size(), sup.points.size());
         // Every cache.* and explore.* counter the sweep registers;
         // the salted grid adds explore.failures.recorded.
-        EXPECT_EQ(reference.size(), configs == &grid ? 21u : 22u);
+        EXPECT_EQ(reference.size(), configs == &grid ? 19u : 20u);
         EXPECT_EQ(reference, rollup);
         ASSERT_EQ(inproc.failures.size(), configs == &grid ? 0u : 1u);
         const auto failed = rollup.find("explore.points.failed");
@@ -205,7 +205,7 @@ TEST(Telemetry, WorkerNamespacesAndPhaseStatsMerge)
     EXPECT_EQ(sup.stats.flightFrames, 2u);
 
     // Every attempt put its simulation counts under worker.<id>.*:
-    // 15 counters for each of this sweep's two workers. (Worker ids
+    // 14 counters for each of this sweep's two workers. (Worker ids
     // are unique per process, so earlier tests' namespaces, which
     // resetAll keeps registered, are not counted.)
     std::vector<std::string> prefixes;
@@ -226,7 +226,7 @@ TEST(Telemetry, WorkerNamespacesAndPhaseStatsMerge)
                 sawWorkerCacheHits = true;
         }
     }
-    EXPECT_EQ(namespaced, 30u);
+    EXPECT_EQ(namespaced, 28u);
     EXPECT_TRUE(sawWorkerCacheHits);
 
     // The workers' sim.batch time merged into the parent profiler.

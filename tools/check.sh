@@ -149,28 +149,35 @@ run_dispatch() {
         exit 1
     }
 
-    # The same comparison over 2-way LRU L1s, whose lanes walk the
-    # associative shared-L1 and strict-block kernels: one request per
-    # two-level policy, authored by tlc_client and switched to
-    # l1_assoc 2 (the canonical encoder spells the field one way).
-    echo "== dispatch drill: TLC_SIMD=scalar vs native, 2-way L1 requests =="
-    for policy in inclusive strict-inclusive exclusive; do
-        build/tools/tlc_client --print-request --bench=gcc1,espresso \
-            --refs=50000 --policy="$policy" |
-            sed 's/"l1_assoc": 1,/"l1_assoc": 2,/' > "$dd_dir/request.json"
-        grep -q '"l1_assoc": 2,' "$dd_dir/request.json" || {
-            echo "could not author a 2-way L1 request" >&2
-            exit 1
-        }
-        TLC_SIMD=scalar build/examples/design_explorer \
-            --request="$dd_dir/request.json" > "$dd_dir/scalar.json"
-        TLC_SIMD=native build/examples/design_explorer \
-            --request="$dd_dir/request.json" > "$dd_dir/native.json"
-        cmp "$dd_dir/scalar.json" "$dd_dir/native.json" || {
-            echo "TLC_SIMD=scalar 2-way L1 $policy response differs" \
-                 "from native dispatch" >&2
-            exit 1
-        }
+    # The same comparison per request: direct-mapped and 2-way LRU
+    # L1s, one request per two-level policy, authored by tlc_client
+    # and switched to the L1 associativity (the canonical encoder
+    # spells the field one way). The explorer's default scenarios
+    # never price strict inclusion, so these requests are the only
+    # end-to-end comparison of the strict-block kernel, direct-mapped
+    # included; the 2-way ones also walk the associative shared L1.
+    for assoc in 1 2; do
+        for policy in inclusive strict-inclusive exclusive; do
+            echo "== dispatch drill: TLC_SIMD=scalar vs native," \
+                 "l1_assoc $assoc $policy request =="
+            build/tools/tlc_client --print-request \
+                --bench=gcc1,espresso --refs=50000 --policy="$policy" |
+                sed "s/\"l1_assoc\": 1,/\"l1_assoc\": $assoc,/" \
+                > "$dd_dir/request.json"
+            grep -q "\"l1_assoc\": $assoc," "$dd_dir/request.json" || {
+                echo "could not author an l1_assoc $assoc request" >&2
+                exit 1
+            }
+            TLC_SIMD=scalar build/examples/design_explorer \
+                --request="$dd_dir/request.json" > "$dd_dir/scalar.json"
+            TLC_SIMD=native build/examples/design_explorer \
+                --request="$dd_dir/request.json" > "$dd_dir/native.json"
+            cmp "$dd_dir/scalar.json" "$dd_dir/native.json" || {
+                echo "TLC_SIMD=scalar l1_assoc $assoc $policy response" \
+                     "differs from native dispatch" >&2
+                exit 1
+            }
+        done
     done
     rm -rf "$dd_dir"
 }
