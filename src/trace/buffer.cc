@@ -10,45 +10,12 @@
 namespace tlc {
 
 void
-TraceBuffer::append(TraceRecord rec)
-{
-    records_.push_back(rec);
-    switch (rec.type) {
-      case RefType::Instr:
-        ++instr_;
-        break;
-      case RefType::Load:
-        ++loads_;
-        break;
-      case RefType::Store:
-        ++stores_;
-        break;
-    }
-}
-
-void
-TraceBuffer::append(std::uint32_t addr, RefType type)
-{
-    append(TraceRecord{addr, type});
-}
-
-void
 TraceBuffer::truncate(std::size_t n)
 {
     tlc_assert(n <= records_.size(), "truncate(%zu) beyond size %zu", n,
                records_.size());
     while (records_.size() > n) {
-        switch (records_.back().type) {
-          case RefType::Instr:
-            --instr_;
-            break;
-          case RefType::Load:
-            --loads_;
-            break;
-          case RefType::Store:
-            --stores_;
-            break;
-        }
+        --counts_[static_cast<unsigned>(records_.back().type)];
         records_.pop_back();
     }
 }
@@ -57,7 +24,7 @@ void
 TraceBuffer::clear()
 {
     records_.clear();
-    instr_ = loads_ = stores_ = 0;
+    counts_[0] = counts_[1] = counts_[2] = 0;
 }
 
 } // namespace tlc

@@ -25,8 +25,21 @@ class TraceBuffer
 
     void reserve(std::size_t n) { records_.reserve(n); }
 
-    void append(TraceRecord rec);
-    void append(std::uint32_t addr, RefType type);
+    /**
+     * Add one record: the per-record call of decode and synthesis.
+     * The count is indexed by type, not switched on it, because
+     * traces interleave the types too irregularly to predict.
+     */
+    void append(TraceRecord rec)
+    {
+        records_.push_back(rec);
+        ++counts_[static_cast<unsigned>(rec.type)];
+    }
+
+    void append(std::uint32_t addr, RefType type)
+    {
+        append(TraceRecord{addr, type});
+    }
 
     /**
      * Drop records from the tail until only @p n remain, keeping the
@@ -44,10 +57,10 @@ class TraceBuffer
         return records_[i];
     }
 
-    std::uint64_t instrRefs() const { return instr_; }
-    std::uint64_t loadRefs() const { return loads_; }
-    std::uint64_t storeRefs() const { return stores_; }
-    std::uint64_t dataRefs() const { return loads_ + stores_; }
+    std::uint64_t instrRefs() const { return counts_[0]; }
+    std::uint64_t loadRefs() const { return counts_[1]; }
+    std::uint64_t storeRefs() const { return counts_[2]; }
+    std::uint64_t dataRefs() const { return counts_[1] + counts_[2]; }
     std::uint64_t totalRefs() const { return records_.size(); }
 
     void clear();
@@ -57,9 +70,7 @@ class TraceBuffer
 
   private:
     std::vector<TraceRecord> records_;
-    std::uint64_t instr_ = 0;
-    std::uint64_t loads_ = 0;
-    std::uint64_t stores_ = 0;
+    std::uint64_t counts_[3] = {0, 0, 0}; ///< by RefType value
 };
 
 } // namespace tlc

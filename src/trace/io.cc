@@ -4,11 +4,14 @@
  *
  * The readers follow three rules (see io.hh): validate everything,
  * never trust a size field further than the bytes that remain, and
- * roll the destination buffer back on any failure.
+ * roll the destination buffer back on any failure. Both binary
+ * formats move their records through fixed 64 KiB blocks, one
+ * stream call per block, and decode or encode them in memory.
  */
 
 #include "io.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -23,6 +26,15 @@ namespace tlc {
 const char kTraceMagic[4] = {'T', 'L', 'C', 'T'};
 
 namespace {
+
+std::uint32_t
+loadU32le(const unsigned char *p)
+{
+    return static_cast<std::uint32_t>(p[0]) |
+        (static_cast<std::uint32_t>(p[1]) << 8) |
+        (static_cast<std::uint32_t>(p[2]) << 16) |
+        (static_cast<std::uint32_t>(p[3]) << 24);
+}
 
 void
 putU32(std::ostream &os, std::uint32_t v)
@@ -41,10 +53,7 @@ getU32(std::istream &is, std::uint32_t &v)
     unsigned char b[4];
     if (!is.read(reinterpret_cast<char *>(b), 4))
         return false;
-    v = static_cast<std::uint32_t>(b[0]) |
-        (static_cast<std::uint32_t>(b[1]) << 8) |
-        (static_cast<std::uint32_t>(b[2]) << 16) |
-        (static_cast<std::uint32_t>(b[3]) << 24);
+    v = loadU32le(b);
     return true;
 }
 
@@ -107,6 +116,122 @@ clampedReserve(std::uint64_t count, std::uint64_t remaining,
     return count < fit ? count : fit;
 }
 
+/** Bytes the binary readers move per stream read. */
+constexpr std::size_t kBlockBytes = 64 * 1024;
+/** A raw record, and the canonical form the v3 footer CRC covers:
+ *  u32 little-endian address + type byte. */
+constexpr std::size_t kRecordBytes = 5;
+/** A u64 takes at most 10 varint bytes. */
+constexpr std::size_t kMaxVarintBytes = 10;
+/** Records per writer block (each fits even as a 10-byte varint),
+ *  and per footer-CRC fold. */
+constexpr std::size_t kBlockRecords = kBlockBytes / kMaxVarintBytes;
+
+/** Store one record at @p p in its canonical 5-byte form. */
+void
+storeRecord(unsigned char *p, std::uint32_t addr, unsigned ty)
+{
+    p[0] = static_cast<unsigned char>(addr & 0xff);
+    p[1] = static_cast<unsigned char>((addr >> 8) & 0xff);
+    p[2] = static_cast<unsigned char>((addr >> 16) & 0xff);
+    p[3] = static_cast<unsigned char>((addr >> 24) & 0xff);
+    p[4] = static_cast<unsigned char>(ty);
+}
+
+/**
+ * The binary readers' input after the header: a fixed block that
+ * one is.read() fills, so records decode from memory and the memory
+ * used does not grow with the file. The caller refills when fewer
+ * bytes remain than its longest record, passing how many bytes the
+ * trace still owes at the least. A refill never asks for more than
+ * that, so the reader stops at the end of the trace even in a
+ * stream it cannot seek.
+ */
+class BlockReader
+{
+  public:
+    enum class Varint { Ok, Truncated, Overflow, TooLong };
+
+    explicit BlockReader(std::istream &is)
+        : is_(is), block_(kBlockBytes), cur_(block_.data()),
+          end_(block_.data())
+    {}
+
+    /** Bytes buffered and not yet consumed. */
+    std::size_t avail() const
+    {
+        return static_cast<std::size_t>(end_ - cur_);
+    }
+
+    /**
+     * Move the unread bytes to the front of the block and read until
+     * min(@p owed, block size) bytes are buffered or the stream
+     * ends. @p owed counts from the next unread byte.
+     */
+    void fill(std::uint64_t owed)
+    {
+        const std::size_t have = avail();
+        std::memmove(block_.data(), cur_, have);
+        cur_ = block_.data();
+        end_ = cur_ + have;
+        const std::size_t want = static_cast<std::size_t>(
+            std::min<std::uint64_t>(owed, kBlockBytes));
+        if (want > have) {
+            is_.read(reinterpret_cast<char *>(block_.data() + have),
+                     static_cast<std::streamsize>(want - have));
+            end_ += is_.gcount();
+        }
+    }
+
+    /** Consume @p n buffered bytes (n <= avail()). */
+    const unsigned char *take(std::size_t n)
+    {
+        const unsigned char *p = cur_;
+        cur_ += n;
+        return p;
+    }
+
+    /**
+     * Decode one LEB128 varint into @p v. A varint that the buffer
+     * cuts short reads on one byte at a time: the caller's refill
+     * only promised the trace's lower bound.
+     */
+    Varint varint(std::uint64_t &v)
+    {
+        std::uint64_t word = 0;
+        const unsigned char *p = cur_;
+        for (unsigned n = 0;; ++n) {
+            if (p == end_) {
+                cur_ = p;
+                fill(1);
+                p = cur_;
+                if (p == end_)
+                    return Varint::Truncated;
+            }
+            const unsigned b = *p++;
+            // The 10th byte carries only the top bit (shift 63).
+            if (n == kMaxVarintBytes - 1) {
+                if (b & 0x7e)
+                    return Varint::Overflow;
+                if (b & 0x80)
+                    return Varint::TooLong;
+            }
+            word |= static_cast<std::uint64_t>(b & 0x7f) << (7 * n);
+            if (!(b & 0x80)) {
+                cur_ = p;
+                v = word;
+                return Varint::Ok;
+            }
+        }
+    }
+
+  private:
+    std::istream &is_;
+    std::vector<unsigned char> block_;
+    const unsigned char *cur_; ///< next unread byte
+    const unsigned char *end_; ///< one past the last buffered byte
+};
+
 } // namespace
 
 void
@@ -115,10 +240,16 @@ writeBinaryTrace(std::ostream &os, const TraceBuffer &buf)
     os.write(kTraceMagic, 4);
     putU32(os, kTraceVersion);
     putU64(os, buf.size());
-    for (const auto &rec : buf) {
-        putU32(os, rec.addr);
-        char t = static_cast<char>(rec.type);
-        os.write(&t, 1);
+    std::vector<unsigned char> block(kBlockRecords * kRecordBytes);
+    const std::vector<TraceRecord> &recs = buf.records();
+    for (std::size_t i = 0; i < recs.size(); i += kBlockRecords) {
+        const std::size_t n = std::min(kBlockRecords, recs.size() - i);
+        for (std::size_t j = 0; j < n; ++j) {
+            storeRecord(&block[j * kRecordBytes], recs[i + j].addr,
+                        static_cast<unsigned>(recs[i + j].type));
+        }
+        os.write(reinterpret_cast<const char *>(block.data()),
+                 static_cast<std::streamsize>(n * kRecordBytes));
     }
 }
 
@@ -169,17 +300,23 @@ readBinaryTrace(std::istream &is, TraceBuffer &buf)
                        static_cast<unsigned long long>(count),
                        static_cast<unsigned long long>(remaining));
     }
-    buf.reserve(entry + clampedReserve(count, remaining, 5));
+    buf.reserve(entry + clampedReserve(count, remaining, kRecordBytes));
+    BlockReader in(is);
     for (std::uint64_t i = 0; i < count; ++i) {
-        std::uint32_t addr;
-        char t;
-        if (!getU32(is, addr) || !is.read(&t, 1)) {
+        if (in.avail() < kRecordBytes) {
+            in.fill(kRecordBytes *
+                    std::min<std::uint64_t>(count - i, kBlockBytes));
+        }
+        if (in.avail() < kRecordBytes) {
             return fail(statusf(
                 StatusCode::Truncated,
                 "stream ends inside record %llu of %llu",
                 static_cast<unsigned long long>(i),
                 static_cast<unsigned long long>(count)));
         }
+        const unsigned char *rec = in.take(kRecordBytes);
+        const std::uint32_t addr = loadU32le(rec);
+        const char t = static_cast<char>(rec[4]);
         if (t < 0 || t > 2) {
             return fail(statusf(
                 StatusCode::TypeOutOfRange,
@@ -192,47 +329,6 @@ readBinaryTrace(std::istream &is, TraceBuffer &buf)
 }
 
 namespace {
-
-void
-putVarint(std::ostream &os, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        char b = static_cast<char>((v & 0x7f) | 0x80);
-        os.write(&b, 1);
-        v >>= 7;
-    }
-    char b = static_cast<char>(v);
-    os.write(&b, 1);
-}
-
-Status
-getVarint(std::istream &is, std::uint64_t &v)
-{
-    v = 0;
-    unsigned shift = 0;
-    for (int nbytes = 1;; ++nbytes) {
-        char c;
-        if (!is.read(&c, 1)) {
-            return Status(StatusCode::Truncated,
-                          "stream ends inside a varint");
-        }
-        unsigned char b = static_cast<unsigned char>(c);
-        // A u64 takes at most 10 varint bytes, and the 10th carries
-        // only the top bit (shift 63).
-        if (nbytes > 10 || (shift == 63 && (b & 0x7e))) {
-            return statusf(StatusCode::OverlongVarint,
-                           "varint overflows 64 bits at byte %d", nbytes);
-        }
-        v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-        if (!(b & 0x80))
-            return Status();
-        if (nbytes == 10) {
-            return Status(StatusCode::OverlongVarint,
-                          "varint continues past 10 bytes");
-        }
-        shift += 7;
-    }
-}
 
 std::uint64_t
 zigzag(std::int64_t v)
@@ -248,24 +344,6 @@ unzigzag(std::uint64_t v)
         -static_cast<std::int64_t>(v & 1);
 }
 
-/**
- * Fold one DECODED record into the footer CRC in its canonical
- * 5-byte form (little-endian address + type). Checksumming the
- * decoded side, not the varint bytes, keeps the footer meaningful
- * across recompression and pins down the delta/zigzag decode itself.
- */
-std::uint32_t
-crcRecord(std::uint32_t state, std::uint32_t addr, unsigned ty)
-{
-    unsigned char rec[5];
-    rec[0] = static_cast<unsigned char>(addr & 0xff);
-    rec[1] = static_cast<unsigned char>((addr >> 8) & 0xff);
-    rec[2] = static_cast<unsigned char>((addr >> 16) & 0xff);
-    rec[3] = static_cast<unsigned char>((addr >> 24) & 0xff);
-    rec[4] = static_cast<unsigned char>(ty);
-    return crc32Update(state, rec, sizeof rec);
-}
-
 } // namespace
 
 void
@@ -276,13 +354,30 @@ writeCompressedTrace(std::ostream &os, const TraceBuffer &buf)
     putU64(os, buf.size());
     std::uint32_t last[3] = {0, 0, 0};
     std::uint32_t crc = kCrc32Init;
-    for (const auto &rec : buf) {
-        unsigned ty = static_cast<unsigned>(rec.type);
-        std::int64_t delta = static_cast<std::int64_t>(rec.addr) -
-            static_cast<std::int64_t>(last[ty]);
-        last[ty] = rec.addr;
-        putVarint(os, (zigzag(delta) << 2) | ty);
-        crc = crcRecord(crc, rec.addr, ty);
+    std::vector<unsigned char> block(kBlockRecords * kMaxVarintBytes);
+    // The footer covers the records in their canonical 5-byte form,
+    // not the varint bytes, so it stays meaningful across
+    // recompression and also pins down the delta/zigzag decode.
+    std::vector<unsigned char> canon(kBlockRecords * kRecordBytes);
+    const std::vector<TraceRecord> &recs = buf.records();
+    for (std::size_t i = 0; i < recs.size(); i += kBlockRecords) {
+        const std::size_t n = std::min(kBlockRecords, recs.size() - i);
+        unsigned char *out = block.data();
+        for (std::size_t j = 0; j < n; ++j) {
+            const TraceRecord &rec = recs[i + j];
+            unsigned ty = static_cast<unsigned>(rec.type);
+            std::int64_t delta = static_cast<std::int64_t>(rec.addr) -
+                static_cast<std::int64_t>(last[ty]);
+            last[ty] = rec.addr;
+            std::uint64_t v = (zigzag(delta) << 2) | ty;
+            for (; v >= 0x80; v >>= 7)
+                *out++ = static_cast<unsigned char>((v & 0x7f) | 0x80);
+            *out++ = static_cast<unsigned char>(v);
+            storeRecord(&canon[j * kRecordBytes], rec.addr, ty);
+        }
+        os.write(reinterpret_cast<const char *>(block.data()),
+                 static_cast<std::streamsize>(out - block.data()));
+        crc = crc32Update(crc, canon.data(), n * kRecordBytes);
     }
     putU32(os, crc32Final(crc));
 }
@@ -341,12 +436,32 @@ readCompressedTrace(std::istream &is, TraceBuffer &buf)
                        static_cast<unsigned long long>(remaining));
     }
     buf.reserve(entry + clampedReserve(count, remaining, 1));
+    BlockReader in(is);
+    // Decoded records in canonical form, folded into the footer CRC
+    // once per kBlockRecords.
+    std::vector<unsigned char> canon(hasFooter ? kBlockRecords * kRecordBytes
+                                               : 0);
+    std::size_t staged = 0;
     std::uint32_t last[3] = {0, 0, 0};
     std::uint32_t crc = kCrc32Init;
     for (std::uint64_t i = 0; i < count; ++i) {
+        // Every record left owes at least one byte, then the footer.
+        if (in.avail() < kMaxVarintBytes) {
+            in.fill(std::min<std::uint64_t>(count - i, kBlockBytes) +
+                    overhead);
+        }
         std::uint64_t word;
-        Status s = getVarint(is, word);
-        if (!s.ok()) {
+        const BlockReader::Varint v = in.varint(word);
+        if (v != BlockReader::Varint::Ok) {
+            Status s =
+                v == BlockReader::Varint::Truncated
+                    ? Status(StatusCode::Truncated,
+                             "stream ends inside a varint")
+                : v == BlockReader::Varint::Overflow
+                    ? Status(StatusCode::OverlongVarint,
+                             "varint overflows 64 bits at byte 10")
+                    : Status(StatusCode::OverlongVarint,
+                             "varint continues past 10 bytes");
             return fail(s.withContext(
                 "record " + std::to_string(i) + " of " +
                 std::to_string(count)));
@@ -363,15 +478,24 @@ readCompressedTrace(std::istream &is, TraceBuffer &buf)
             static_cast<std::int64_t>(last[ty]) + delta);
         last[ty] = addr;
         buf.append(addr, static_cast<RefType>(ty));
-        if (hasFooter)
-            crc = crcRecord(crc, addr, ty);
+        if (hasFooter) {
+            storeRecord(&canon[staged * kRecordBytes], addr, ty);
+            if (++staged == kBlockRecords) {
+                crc = crc32Update(crc, canon.data(),
+                                  staged * kRecordBytes);
+                staged = 0;
+            }
+        }
     }
     if (hasFooter) {
-        std::uint32_t want;
-        if (!getU32(is, want)) {
+        crc = crc32Update(crc, canon.data(), staged * kRecordBytes);
+        if (in.avail() < 4)
+            in.fill(4);
+        if (in.avail() < 4) {
             return fail(Status(StatusCode::Truncated,
                                "stream ends inside the CRC footer"));
         }
+        std::uint32_t want = loadU32le(in.take(4));
         std::uint32_t got = crc32Final(crc);
         if (want != got) {
             return fail(statusf(
@@ -541,6 +665,9 @@ saveTraceFile(const std::string &path, const TraceBuffer &buf,
         writeCompressedTrace(os, buf);
     else
         writeBinaryTrace(os, buf);
+    // Flush first: an error on the ofstream's buffered tail only
+    // shows once it reaches the file.
+    os.flush();
     if (!os.good()) {
         return statusf(StatusCode::IoError,
                        "write to trace file '%s' failed", path.c_str());

@@ -29,6 +29,14 @@
  * actually remaining in the stream before any memory is reserved,
  * so a corrupt or truncated header cannot trigger a multi-gigabyte
  * allocation.
+ *
+ * The binary readers decode from a bounded block buffer: one fixed
+ * 64 KiB block, refilled by a single read() when fewer bytes remain
+ * than the longest record, so their memory does not grow with the
+ * file. A refill asks only for bytes the trace must still hold, so a
+ * reader stops at the end of its trace, seekable stream or not. The
+ * writers likewise encode a block of records and write it in one
+ * call.
  */
 
 #ifndef TLC_TRACE_IO_HH

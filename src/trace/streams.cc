@@ -62,7 +62,7 @@ StackDistStream::StackDistStream(std::uint32_t base,
                                  double zipf_s, std::uint64_t seed)
     : base_(base), maxObjects_(region_bytes / granularity),
       granularity_(granularity), newProb_(new_prob), geomP_(geom_p),
-      geomWeight_(geom_weight), zipfS_(zipf_s), rng_(seed, 0x57ac)
+      geomWeight_(geom_weight), depthZipf_(zipf_s), rng_(seed, 0x57ac)
 {
     tlc_assert(granularity >= 4, "granularity too small");
     tlc_assert(maxObjects_ > 1, "region too small for granularity");
@@ -84,7 +84,7 @@ StackDistStream::next()
         if (rng_.nextDouble() < geomWeight_) {
             depth = rng_.nextGeometric(geomP_);
         } else {
-            depth = rng_.nextZipf(n, zipfS_);
+            depth = depthZipf_(rng_, n);
         }
         if (depth >= n)
             depth = n - 1;
@@ -105,7 +105,7 @@ StackDistStream::next()
 ZipfStream::ZipfStream(std::uint32_t base, std::uint32_t region_bytes,
                        unsigned granularity, double s, std::uint64_t seed)
     : base_(base), granularity_(granularity),
-      numObjects_(region_bytes / granularity), s_(s),
+      numObjects_(region_bytes / granularity), rankZipf_(s),
       rng_(seed, 0x21bf)
 {
     tlc_assert(numObjects_ > 1, "region too small for granularity");
@@ -117,7 +117,7 @@ ZipfStream::ZipfStream(std::uint32_t base, std::uint32_t region_bytes,
 std::uint32_t
 ZipfStream::next()
 {
-    std::uint32_t rank = rng_.nextZipf(numObjects_, s_);
+    std::uint32_t rank = rankZipf_(rng_, numObjects_);
     // rank+1 so that rank 0 does not pin the hottest object to the
     // region base.
     std::uint32_t obj = static_cast<std::uint32_t>(
@@ -164,7 +164,7 @@ PointerChaseStream::next()
 
 LoopCodeStream::LoopCodeStream(const LoopCodeParams &params,
                                std::uint64_t seed)
-    : p_(params), rng_(seed, 0xc0de)
+    : p_(params), funcZipf_(params.zipfS), rng_(seed, 0xc0de)
 {
     tlc_assert(p_.numFuncs > 0, "need at least one function");
     funcInstrs_ = p_.codeBytes / p_.numFuncs / 4;
@@ -176,7 +176,7 @@ LoopCodeStream::LoopCodeStream(const LoopCodeParams &params,
 void
 LoopCodeStream::switchFunction()
 {
-    curFunc_ = rng_.nextZipf(p_.numFuncs, p_.zipfS);
+    curFunc_ = funcZipf_(rng_, p_.numFuncs);
     pc_ = 0;
     inLoop_ = false;
 }

@@ -104,7 +104,7 @@ class StackDistStream : public RefStream
     double newProb_;
     double geomP_;
     double geomWeight_;
-    double zipfS_;
+    ZipfDist depthZipf_; ///< tail component over the current depth
     std::uint32_t nextFresh_ = 0;
     std::vector<std::uint32_t> stack_; ///< object ids, MRU first
     Pcg32 rng_;
@@ -128,7 +128,7 @@ class ZipfStream : public RefStream
     std::uint32_t base_;
     unsigned granularity_;
     std::uint32_t numObjects_;
-    double s_;
+    ZipfDist rankZipf_;
     std::uint32_t scatterMul_; ///< odd multiplier scattering ranks
     Pcg32 rng_;
 };
@@ -182,6 +182,7 @@ class LoopCodeStream : public RefStream
     void switchFunction();
 
     LoopCodeParams p_;
+    ZipfDist funcZipf_;         ///< function popularity
     std::uint32_t funcInstrs_;  ///< instructions per function
     std::uint32_t curFunc_ = 0;
     std::uint32_t pc_ = 0;      ///< instruction index within function

@@ -8,6 +8,11 @@
  * whole-stream checksum so a flipped payload byte cannot silently
  * decode into a different — but structurally valid — trace.
  *
+ * crc32Update() is slicing-by-8: it folds eight bytes per step
+ * through eight 256-entry tables and finishes the last few bytes
+ * one at a time. The value is the same as the byte-at-a-time
+ * algorithm's.
+ *
  * Incremental use: seed with kCrc32Init, fold ranges with
  * crc32Update(), finish with crc32Final(). crc32() does all three
  * for a single contiguous range.
@@ -26,21 +31,41 @@ inline constexpr std::uint32_t kCrc32Init = 0xffffffffu;
 
 namespace detail {
 
-/** The byte-at-a-time lookup table for the reflected polynomial. */
-inline const std::array<std::uint32_t, 256> &
-crc32Table()
+using Crc32Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/**
+ * The slicing-by-8 tables for the reflected polynomial. Table 0 is
+ * the byte-at-a-time table; table k advances table k-1's entry by
+ * one more zero byte.
+ */
+inline const Crc32Tables &
+crc32Tables()
 {
-    static const std::array<std::uint32_t, 256> table = [] {
-        std::array<std::uint32_t, 256> t{};
+    static const Crc32Tables tables = [] {
+        Crc32Tables t{};
         for (std::uint32_t i = 0; i < 256; ++i) {
             std::uint32_t c = i;
             for (int k = 0; k < 8; ++k)
                 c = (c >> 1) ^ ((c & 1) ? 0xedb88320u : 0);
-            t[i] = c;
+            t[0][i] = c;
+        }
+        for (std::size_t k = 1; k < 8; ++k) {
+            for (std::uint32_t i = 0; i < 256; ++i)
+                t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
         }
         return t;
     }();
-    return table;
+    return tables;
+}
+
+/** Little-endian 32-bit load from a byte pointer. */
+inline std::uint32_t
+loadU32le(const unsigned char *p)
+{
+    return static_cast<std::uint32_t>(p[0]) |
+        (static_cast<std::uint32_t>(p[1]) << 8) |
+        (static_cast<std::uint32_t>(p[2]) << 16) |
+        (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
 } // namespace detail
@@ -49,10 +74,18 @@ crc32Table()
 inline std::uint32_t
 crc32Update(std::uint32_t state, const void *data, std::size_t n)
 {
-    const auto &table = detail::crc32Table();
+    const auto &t = detail::crc32Tables();
     const unsigned char *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < n; ++i)
-        state = table[(state ^ p[i]) & 0xff] ^ (state >> 8);
+    for (; n >= 8; p += 8, n -= 8) {
+        const std::uint32_t lo = detail::loadU32le(p) ^ state;
+        const std::uint32_t hi = detail::loadU32le(p + 4);
+        state = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^
+            t[5][(lo >> 16) & 0xff] ^ t[4][lo >> 24] ^
+            t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+            t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+    }
+    for (; n > 0; ++p, --n)
+        state = t[0][(state ^ *p) & 0xff] ^ (state >> 8);
     return state;
 }
 

@@ -247,6 +247,7 @@ writeMetricsFile(const std::string &path)
                        path.c_str());
     }
     os << MetricsRegistry::global().toJson() << "\n";
+    os.flush(); // surface an error on the buffered tail
     if (!os.good()) {
         return statusf(StatusCode::IoError,
                        "write to metrics file '%s' failed",

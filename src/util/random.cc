@@ -76,25 +76,41 @@ Pcg32::nextExponential(double mean)
 std::uint32_t
 Pcg32::nextZipf(std::uint32_t n, double s)
 {
+    return ZipfDist(s)(*this, n);
+}
+
+ZipfDist::ZipfDist(double s) : s_(s), hx0_(h(0.5) - 1.0) {}
+
+double
+ZipfDist::h(double x) const
+{
+    if (s_ == 1.0)
+        return std::log(x);
+    return (std::pow(x, 1.0 - s_) - 1.0) / (1.0 - s_);
+}
+
+double
+ZipfDist::hInv(double y) const
+{
+    if (s_ == 1.0)
+        return std::exp(y);
+    return std::pow(1.0 + y * (1.0 - s_), 1.0 / (1.0 - s_));
+}
+
+std::uint32_t
+ZipfDist::operator()(Pcg32 &rng, std::uint32_t n)
+{
     tlc_assert(n > 0, "zipf over empty range");
     if (n == 1)
         return 0;
-    // Rejection-inversion sampling (Hormann & Derflinger 1996),
-    // specialised to support {1..n} and shifted to {0..n-1}.
-    auto h = [s](double x) {
-        if (s == 1.0)
-            return std::log(x);
-        return (std::pow(x, 1.0 - s) - 1.0) / (1.0 - s);
-    };
-    auto hInv = [s](double y) {
-        if (s == 1.0)
-            return std::exp(y);
-        return std::pow(1.0 + y * (1.0 - s), 1.0 / (1.0 - s));
-    };
-    const double hx0 = h(0.5) - 1.0;
-    const double hn = h(n + 0.5);
+    if (n != n_) {
+        n_ = n;
+        hn_ = h(n + 0.5);
+    }
+    // Rejection-inversion sampling, specialised to support {1..n}
+    // and shifted to {0..n-1}.
     for (;;) {
-        double u = hx0 + nextDouble() * (hn - hx0);
+        double u = hx0_ + rng.nextDouble() * (hn_ - hx0_);
         double x = hInv(u);
         std::uint64_t k = static_cast<std::uint64_t>(x + 0.5);
         if (k < 1)
@@ -102,10 +118,13 @@ Pcg32::nextZipf(std::uint32_t n, double s)
         if (k > n)
             k = n;
         double hk = h(k - 0.5);
-        if (u >= hk - std::pow(static_cast<double>(k), -s) && u < h(k + 0.5))
-            return static_cast<std::uint32_t>(k - 1);
-        // Acceptance is very likely; loop otherwise.
+        // k^-s > 0, so u >= hk already satisfies the first clause
+        // of the acceptance test below; testing it first skips two
+        // pow() calls on most draws and accepts the same ranks.
         if (u >= hk)
+            return static_cast<std::uint32_t>(k - 1);
+        if (u >= hk - std::pow(static_cast<double>(k), -s_) &&
+            u < h(k + 0.5))
             return static_cast<std::uint32_t>(k - 1);
     }
 }

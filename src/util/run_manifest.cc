@@ -84,6 +84,7 @@ RunManifest::writeFile(const std::string &path) const
                        path.c_str());
     }
     os << toJson();
+    os.flush(); // surface an error on the buffered tail
     if (!os.good()) {
         return statusf(StatusCode::IoError,
                        "write to manifest '%s' failed", path.c_str());

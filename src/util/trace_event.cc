@@ -161,6 +161,7 @@ TraceEventRecorder::writeFile(const std::string &path) const
                        path.c_str());
     }
     write(os);
+    os.flush(); // surface an error on the buffered tail
     if (!os.good()) {
         return statusf(StatusCode::IoError,
                        "write to trace-event file '%s' failed",

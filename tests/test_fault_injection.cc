@@ -1,7 +1,8 @@
 /**
  * @file
  * Fault-injection tests: the CorruptingStreamBuf itself, the trace
- * readers under randomized corruption and exhaustive truncation, and
+ * readers under randomized corruption and exhaustive truncation
+ * (including cuts and flips beside the readers' block boundaries), and
  * the fail-soft sweep path (an unreadable benchmark trace plus an
  * invalid configuration must be reported and skipped, not fatal).
  */
@@ -11,6 +12,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "core/explorer.hh"
 #include "trace/io.hh"
@@ -161,6 +163,117 @@ expectRobust(const std::string &image, ReaderFn read, ReadOutcome &out,
     EXPECT_EQ(buf.storeRefs(), 1u);
 }
 
+/**
+ * A 140 K-reference gcc1 trace, whose compressed form spans more than
+ * three of the readers' 64 KiB blocks (and its raw form ten).
+ */
+const TraceBuffer &
+multiBlockTrace()
+{
+    static const TraceBuffer t =
+        Workloads::generate(Benchmark::Gcc1, 140000, 0);
+    return t;
+}
+
+std::string
+multiBlockImage(bool compressed)
+{
+    std::ostringstream os;
+    if (compressed)
+        writeCompressedTrace(os, multiBlockTrace());
+    else
+        writeBinaryTrace(os, multiBlockTrace());
+    return os.str();
+}
+
+/** A string buffer that logs how far each read() has consumed. */
+class ReadLogBuf : public std::stringbuf
+{
+  public:
+    explicit ReadLogBuf(const std::string &s)
+        : std::stringbuf(s, std::ios::in)
+    {}
+
+    std::vector<std::size_t> readEnds; ///< offset after each read()
+    std::vector<std::size_t> readSizes; ///< bytes each read() asked
+
+  protected:
+    std::streamsize xsgetn(char *out, std::streamsize n) override
+    {
+        std::streamsize got = std::stringbuf::xsgetn(out, n);
+        readEnds.push_back(static_cast<std::size_t>(gptr() - eback()));
+        readSizes.push_back(static_cast<std::size_t>(n));
+        return got;
+    }
+};
+
+/**
+ * The first three block boundaries a clean read of @p image crosses:
+ * where the reader's block-sized read() calls ended.
+ */
+std::vector<std::size_t>
+blockBoundaries(const std::string &image, bool compressed)
+{
+    ReadLogBuf log(image);
+    std::istream is(&log);
+    TraceBuffer buf;
+    Status s = compressed ? readCompressedTrace(is, buf)
+                          : readBinaryTrace(is, buf);
+    EXPECT_TRUE(s.ok()) << s.toString();
+    std::vector<std::size_t> out;
+    for (std::size_t i = 0; i < log.readEnds.size() && out.size() < 3; ++i) {
+        if (log.readSizes[i] >= 4096)
+            out.push_back(log.readEnds[i]);
+    }
+    return out;
+}
+
+/** Read @p image through a CorruptingStreamBuf, which cannot seek. */
+Status
+readUnseekable(const std::string &image, const FaultSpec &spec,
+               bool compressed, TraceBuffer &buf)
+{
+    std::istringstream src(image);
+    CorruptingStreamBuf cb(*src.rdbuf(), spec);
+    std::istream is(&cb);
+    return compressed ? readCompressedTrace(is, buf)
+                      : readBinaryTrace(is, buf);
+}
+
+/**
+ * Cut @p image at every offset within 16 bytes of each of its first
+ * three block boundaries and at every offset in @p tail_cuts; each
+ * cut must read as Truncated with the buffer rolled back. The cut is
+ * a CorruptingStreamBuf's hard truncation, so the reader cannot see
+ * the short length up front and meets it inside a block.
+ */
+void
+expectBoundaryCutsTruncate(bool compressed,
+                           const std::vector<std::size_t> &tail_cuts)
+{
+    const std::string image = multiBlockImage(compressed);
+    const std::vector<std::size_t> bounds =
+        blockBoundaries(image, compressed);
+    ASSERT_EQ(bounds.size(), 3u);
+    std::vector<std::size_t> cuts = tail_cuts;
+    for (std::size_t b : bounds) {
+        for (std::size_t cut = b - 16; cut <= b + 16; ++cut)
+            cuts.push_back(cut);
+    }
+    for (std::size_t cut : cuts) {
+        ASSERT_LT(cut, image.size());
+        FaultSpec spec;
+        spec.truncateAfter = cut;
+        TraceBuffer buf;
+        buf.append(0xbeef0000u, RefType::Load);
+        Status s = readUnseekable(image, spec, compressed, buf);
+        EXPECT_EQ(s.code(), StatusCode::Truncated)
+            << "cut at " << cut << ": " << s.toString();
+        ASSERT_EQ(buf.size(), 1u) << "cut at " << cut;
+        EXPECT_EQ(buf.loadRefs(), 1u) << "cut at " << cut;
+    }
+}
+
 } // namespace
 
 TEST(ReadersUnderFaults, BitFlippedTracesNeverLeavePartialData)
@@ -243,6 +356,11 @@ TEST(ReadersUnderFaults, EveryPrefixTruncationOfABinaryTraceIsHandled)
     std::istringstream is(full);
     EXPECT_TRUE(readBinaryTrace(is, buf));
     EXPECT_EQ(buf.size(), orig.size());
+
+    // A multi-block trace cut next to a block boundary, or inside
+    // its last record.
+    const std::size_t end = multiBlockImage(false).size();
+    expectBoundaryCutsTruncate(false, {end - 5, end - 1});
 }
 
 TEST(ReadersUnderFaults, EveryPrefixTruncationOfACompressedTraceIsHandled)
@@ -266,6 +384,69 @@ TEST(ReadersUnderFaults, EveryPrefixTruncationOfACompressedTraceIsHandled)
                     s.code() == StatusCode::CountTooLarge)
             << "cut at " << cut << ": " << s.toString();
         EXPECT_TRUE(buf.empty()) << "cut at " << cut;
+    }
+
+    // A multi-block trace cut next to a block boundary, or inside
+    // its CRC footer.
+    const std::size_t end = multiBlockImage(true).size();
+    expectBoundaryCutsTruncate(true, {end - 4, end - 3, end - 2, end - 1});
+}
+
+// Both binary formats round-trip a multi-block trace through a
+// seekable and an unseekable stream, and a reader stops at the end of
+// its trace: the byte after it is still in the stream.
+TEST(ReadersUnderFaults, MultiBlockTracesRoundTripAndStopAtTheirEnd)
+{
+    const TraceBuffer &orig = multiBlockTrace();
+    for (bool compressed : {true, false}) {
+        const std::string image = multiBlockImage(compressed);
+        ASSERT_GT(image.size(), 16u + 3 * 64 * 1024);
+        const std::string followed = image + "#";
+        auto check = [&](std::istream &is, const char *how) {
+            TraceBuffer buf;
+            Status s = compressed ? readCompressedTrace(is, buf)
+                                  : readBinaryTrace(is, buf);
+            ASSERT_TRUE(s.ok()) << how << ": " << s.toString();
+            ASSERT_EQ(buf.size(), orig.size()) << how;
+            for (std::size_t i = 0; i < orig.size(); ++i)
+                ASSERT_EQ(buf[i], orig[i]) << how << " record " << i;
+            EXPECT_EQ(buf.instrRefs(), orig.instrRefs()) << how;
+            EXPECT_EQ(buf.storeRefs(), orig.storeRefs()) << how;
+            EXPECT_EQ(is.get(), '#') << how;
+        };
+        std::istringstream seekable(followed);
+        check(seekable, compressed ? "compressed, istringstream"
+                                   : "raw, istringstream");
+        std::istringstream src(followed);
+        CorruptingStreamBuf cb(*src.rdbuf(), FaultSpec{});
+        std::istream unseekable(&cb);
+        check(unseekable, compressed ? "compressed, unseekable"
+                                     : "raw, unseekable");
+    }
+}
+
+// A v3 trace with one byte flipped beside a block boundary must fail:
+// the flip either breaks the varint framing or changes a decoded
+// record, which the CRC footer catches.
+TEST(ReadersUnderFaults, FlipsBesideABlockBoundaryAreRejected)
+{
+    const std::string image = multiBlockImage(true);
+    for (std::size_t b : blockBoundaries(image, true)) {
+        for (std::size_t at = b - 2; at <= b + 1; ++at) {
+            for (unsigned bit : {0u, 1u, 7u}) {
+                std::string bad = image;
+                bad[at] = static_cast<char>(bad[at] ^ (1u << bit));
+                TraceBuffer buf;
+                std::istringstream is(bad);
+                Status s = readCompressedTrace(is, buf);
+                EXPECT_TRUE(s.code() == StatusCode::Truncated ||
+                            s.code() == StatusCode::TypeOutOfRange ||
+                            s.code() == StatusCode::ChecksumMismatch)
+                    << "byte " << at << " bit " << bit << ": "
+                    << s.toString();
+                EXPECT_TRUE(buf.empty()) << "byte " << at;
+            }
+        }
     }
 }
 

@@ -5,7 +5,8 @@
  * the parallelFor worker team (run under TSan via the test_parallel
  * target), the scoped phase profiler, the Chrome trace-event
  * exporter, the JSON helpers that back all of them, sweep progress
- * callbacks, and the run manifest schema.
+ * callbacks, the run manifest schema, and the file writers'
+ * late-error reporting.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "core/explorer.hh"
+#include "trace/io.hh"
 #include "util/json.hh"
 #include "util/metrics.hh"
 #include "util/parallel.hh"
@@ -554,4 +557,35 @@ TEST(Manifest, JsonCarriesSchemaAndEmbeddedDumps)
           "\"threads\"", "\"points_priced\"", "\"failures\"",
           "\"wall_seconds\"", "\"metrics\"", "\"phases\""})
         EXPECT_NE(json.find(key), std::string::npos) << key;
+}
+
+// Every file writer flushes before it checks the stream: /dev/full
+// accepts the open and every buffered write, and fails only when the
+// buffered tail reaches it. A small payload fits in the ofstream's
+// buffer, so a writer that checks before flushing reports OK.
+TEST(FileWriters, ReportAWriteErrorOnTheBufferedTail)
+{
+    if (!std::ifstream("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this system";
+    const std::string full = "/dev/full";
+
+    TraceBuffer trace;
+    for (std::uint32_t i = 0; i < 100; ++i)
+        trace.append(0x400000 + 4 * i, RefType::Instr);
+    for (bool compressed : {true, false}) {
+        EXPECT_EQ(saveTraceFile(full, trace, compressed).code(),
+                  StatusCode::IoError)
+            << "compressed=" << compressed;
+    }
+
+    TraceEventRecorder rec;
+    auto t0 = TraceEventRecorder::Clock::now();
+    rec.complete("point", "design-point", t0, t0, 0);
+    EXPECT_EQ(rec.writeFile(full).code(), StatusCode::IoError);
+
+    const char *argv[] = {"tool"};
+    EXPECT_EQ(RunManifest::fromCommandLine(1, argv).writeFile(full).code(),
+              StatusCode::IoError);
+
+    EXPECT_EQ(writeMetricsFile(full).code(), StatusCode::IoError);
 }

@@ -1,10 +1,11 @@
 /**
  * @file
- * Unit and property tests for the Pcg32 generator.
+ * Unit and property tests for the Pcg32 generator and ZipfDist.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "util/random.hh"
@@ -154,4 +155,101 @@ TEST(Pcg32, ZipfSkewGrowsWithS)
     double s16 = top10_share(1.6);
     EXPECT_LT(s08, s12);
     EXPECT_LT(s12, s16);
+}
+
+namespace {
+
+/**
+ * The Zipf sampler as first written: every bound recomputed on
+ * every draw and the two-clause acceptance test first. ZipfDist must
+ * return exactly these ranks from the same generator state.
+ */
+std::uint32_t
+referenceZipf(Pcg32 &rng, std::uint32_t n, double s)
+{
+    if (n == 1)
+        return 0;
+    auto h = [s](double x) {
+        if (s == 1.0)
+            return std::log(x);
+        return (std::pow(x, 1.0 - s) - 1.0) / (1.0 - s);
+    };
+    auto hInv = [s](double y) {
+        if (s == 1.0)
+            return std::exp(y);
+        return std::pow(1.0 + y * (1.0 - s), 1.0 / (1.0 - s));
+    };
+    const double hx0 = h(0.5) - 1.0;
+    const double hn = h(n + 0.5);
+    for (;;) {
+        double u = hx0 + rng.nextDouble() * (hn - hx0);
+        double x = hInv(u);
+        std::uint64_t k = static_cast<std::uint64_t>(x + 0.5);
+        if (k < 1)
+            k = 1;
+        if (k > n)
+            k = n;
+        double hk = h(k - 0.5);
+        if (u >= hk - std::pow(static_cast<double>(k), -s) &&
+            u < h(k + 0.5))
+            return static_cast<std::uint32_t>(k - 1);
+        if (u >= hk)
+            return static_cast<std::uint32_t>(k - 1);
+    }
+}
+
+const double kZipfExponents[] = {0.55, 0.95, 1.0, 1.3};
+
+} // namespace
+
+TEST(ZipfDist, MatchesReferenceAtFixedN)
+{
+    for (double s : kZipfExponents) {
+        Pcg32 a(12, 3), b(12, 3);
+        ZipfDist dist(s);
+        for (int i = 0; i < 20000; ++i) {
+            ASSERT_EQ(dist(a, 1000), referenceZipf(b, 1000, s))
+                << "s " << s << " draw " << i;
+        }
+        EXPECT_EQ(a.next(), b.next()) << "s " << s;
+    }
+}
+
+// StackDistStream's pattern: one ZipfDist while n grows one object
+// at a time, so the cached h(n + 0.5) is replaced at every step.
+TEST(ZipfDist, MatchesReferenceAsNGrows)
+{
+    for (double s : kZipfExponents) {
+        Pcg32 a(13, 4), b(13, 4);
+        ZipfDist dist(s);
+        for (std::uint32_t n = 2; n <= 4096; ++n) {
+            for (int rep = 0; rep < 3; ++rep) {
+                ASSERT_EQ(dist(a, n), referenceZipf(b, n, s))
+                    << "s " << s << " n " << n;
+            }
+        }
+        EXPECT_EQ(a.next(), b.next()) << "s " << s;
+    }
+}
+
+TEST(ZipfDist, SingleElementDrawsNothing)
+{
+    for (double s : kZipfExponents) {
+        Pcg32 a(14), b(14);
+        ZipfDist dist(s);
+        for (int i = 0; i < 10; ++i)
+            EXPECT_EQ(dist(a, 1), 0u);
+        // Back to a larger n after n = 1: the cached bound is redone.
+        EXPECT_EQ(dist(a, 50), referenceZipf(b, 50, s));
+        EXPECT_EQ(a.next(), b.next());
+    }
+}
+
+TEST(ZipfDist, NextZipfIsAOneDrawDist)
+{
+    Pcg32 a(15), b(15);
+    for (std::uint32_t n : {2u, 7u, 1000u, 7u}) {
+        for (double s : kZipfExponents)
+            EXPECT_EQ(a.nextZipf(n, s), referenceZipf(b, n, s));
+    }
 }

@@ -16,6 +16,11 @@
  *    text disagrees (hash collision, schema drift) or whose length
  *    is off reads as stale, never as wrong numbers.
  *
+ *  - Crc32 (util/crc32.hh), the checksum under every record: the
+ *    published check value, the slicing-by-8 path against a
+ *    byte-at-a-time reference at every length and alignment, and
+ *    incremental folding against the one-shot value.
+ *
  *  - The differential tentpole: over the 64-point reference grid, a
  *    store-backed sweep is byte-identical to an uncached one, a WARM
  *    re-sweep is byte-identical AND >= 10x faster than the cold run
@@ -35,6 +40,7 @@
 
 #include "core/explorer.hh"
 #include "core/sweep_cache.hh"
+#include "util/crc32.hh"
 #include "util/result_store.hh"
 #include "util/units.hh"
 
@@ -164,6 +170,65 @@ expectIdentical(const SweepResult &a, const SweepResult &b)
 // ---------------------------------------------------------------
 // ResultStore: the generic append-only file.
 // ---------------------------------------------------------------
+
+namespace {
+
+/** Byte-at-a-time CRC-32, computed bit by bit: the reference the
+ *  table-driven crc32Update() must equal. */
+std::uint32_t
+bytewiseCrc32(const unsigned char *p, std::size_t n)
+{
+    std::uint32_t c = 0xffffffffu;
+    for (std::size_t i = 0; i < n; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c >> 1) ^ ((c & 1) ? 0xedb88320u : 0);
+    }
+    return c ^ 0xffffffffu;
+}
+
+std::vector<unsigned char>
+crcTestBytes(std::size_t n)
+{
+    std::vector<unsigned char> bytes(n);
+    std::uint32_t x = 0x9e3779b9u;
+    for (auto &b : bytes) {
+        x = x * 1664525u + 1013904223u;
+        b = static_cast<unsigned char>(x >> 24);
+    }
+    return bytes;
+}
+
+} // namespace
+
+TEST(Crc32, KnownAnswer)
+{
+    EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+    EXPECT_EQ(crc32("", 0), 0u);
+}
+
+TEST(Crc32, SlicingMatchesBytewiseAtEveryLengthAndAlignment)
+{
+    const std::vector<unsigned char> bytes = crcTestBytes(64 + 8);
+    for (std::size_t start = 0; start < 8; ++start) {
+        for (std::size_t len = 0; len <= 64; ++len) {
+            EXPECT_EQ(crc32(bytes.data() + start, len),
+                      bytewiseCrc32(bytes.data() + start, len))
+                << "start " << start << " length " << len;
+        }
+    }
+}
+
+TEST(Crc32, IncrementalUpdatesEqualOneShot)
+{
+    const std::vector<unsigned char> bytes = crcTestBytes(64);
+    const std::uint32_t whole = crc32(bytes.data(), bytes.size());
+    for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+        std::uint32_t state = crc32Update(kCrc32Init, bytes.data(), cut);
+        state = crc32Update(state, bytes.data() + cut, bytes.size() - cut);
+        EXPECT_EQ(crc32Final(state), whole) << "split at " << cut;
+    }
+}
 
 TEST(ResultStore, RoundTripsAcrossReopen)
 {

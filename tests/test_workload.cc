@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "cache/single_level.hh"
+#include "trace/io.hh"
 #include "trace/workload.hh"
 
 using namespace tlc;
@@ -72,6 +75,34 @@ TEST(Workloads, GenerationIsDeterministic)
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i)
         ASSERT_EQ(a[i], b[i]);
+}
+
+// The generator's output bytes, pinned: the TLCT v3 footer CRC of
+// each benchmark's canonical 200 K-reference trace. A change to any
+// stream, to the mixer or to the random number generator that shifts
+// one record fails here, and not only in the figure goldens.
+TEST(Workloads, GeneratedTracesArePinned)
+{
+    const std::pair<Benchmark, std::uint32_t> pins[] = {
+        {Benchmark::Gcc1, 0xac6c1037u},
+        {Benchmark::Espresso, 0x7b007941u},
+        {Benchmark::Fpppp, 0x81b3f76cu},
+        {Benchmark::Doduc, 0x33d79203u},
+        {Benchmark::Li, 0xf31bebf9u},
+        {Benchmark::Eqntott, 0x66684f1du},
+        {Benchmark::Tomcatv, 0x798b0169u},
+    };
+    for (const auto &[b, want] : pins) {
+        std::ostringstream os;
+        writeCompressedTrace(os, Workloads::generate(b, 200'000, 0));
+        const std::string bytes = os.str();
+        ASSERT_GE(bytes.size(), 4u);
+        const unsigned char *f = reinterpret_cast<const unsigned char *>(
+            bytes.data() + bytes.size() - 4);
+        const std::uint32_t got = f[0] | (f[1] << 8) | (f[2] << 16) |
+            (static_cast<std::uint32_t>(f[3]) << 24);
+        EXPECT_EQ(got, want) << Workloads::info(b).name;
+    }
 }
 
 TEST(Workloads, RequestedLengthHonoured)

@@ -154,7 +154,7 @@ def check_manifest(path):
 
 
 def read_varint(data, pos):
-    """LSB-first 7-bit varint, mirroring src/trace/io.cc getVarint."""
+    """LSB-first 7-bit varint, as decoded in src/trace/io.cc."""
     value = 0
     shift = 0
     for nbytes in range(1, 11):
