@@ -23,19 +23,14 @@ namespace {
  */
 constexpr std::size_t kBlockRecords = 4096;
 
-/**
- * Do two L1s behave identically? Size, line and ways always count;
- * the replacement policy only when there is a choice of way (a
- * direct-mapped L1's policy and RNG are unobservable).
- */
+} // namespace
+
 bool
-sameL1Shape(const CacheParams &a, const CacheParams &b)
+SimGroup::sharesL1(const CacheParams &a, const CacheParams &b)
 {
     return a.sizeBytes == b.sizeBytes && a.lineBytes == b.lineBytes &&
            a.ways() == b.ways() && (a.ways() == 1 || a.repl == b.repl);
 }
-
-} // namespace
 
 lanes::SharedL1Group &
 SimGroup::sharedGroupFor(const CacheParams &l1_params, std::uint64_t seed)
@@ -44,7 +39,7 @@ SimGroup::sharedGroupFor(const CacheParams &l1_params, std::uint64_t seed)
     // seed, so only lanes with equal seeds may share that L1.
     bool seeded = l1_params.ways() > 1 && l1_params.repl == ReplPolicy::Random;
     for (lanes::SharedL1Group &g : sharedGroups_) {
-        if (sameL1Shape(g.l1Params, l1_params) &&
+        if (sharesL1(g.l1Params, l1_params) &&
             (!seeded || g.l1Seed == seed))
             return g;
     }
@@ -57,7 +52,7 @@ SimGroup::strictBlockFor(const CacheParams &l1_params)
 {
     for (std::uint32_t b = 0; b < strictBlocks_.size(); ++b) {
         const lanes::StrictLaneBlock &blk = strictBlocks_[b];
-        if (sameL1Shape(blk.l1Params, l1_params) &&
+        if (sharesL1(blk.l1Params, l1_params) &&
             blk.width() < lanes::StrictLaneBlock::kMaxBlockLanes)
             return b;
     }

@@ -98,6 +98,18 @@ class SimGroup
     std::size_t laneCount() const { return lanes_.size(); }
 
     /**
+     * Do two L1s behave identically, so lanes over them may share an
+     * L1 walk (SharedL1Group) or a StrictLaneBlock? Size, line and
+     * ways always count; the replacement policy only when there is a
+     * choice of way (a direct-mapped L1's policy and RNG are
+     * unobservable). A Random associative L1 also needs equal lane
+     * seeds to share a walk; that is not a property of the shape.
+     * Sweep planning (core/explorer.hh planSweep) groups configs by
+     * this same predicate.
+     */
+    static bool sharesL1(const CacheParams &a, const CacheParams &b);
+
+    /**
      * Apply @p n records to every lane. Records are processed in
      * blocks, lane-major within a block, so each lane's tag state
      * stays hot while the block is replayed against it. The lanes

@@ -464,9 +464,9 @@ TEST(Progress, SweepSlicesLandOnTheActiveRecorder)
 TEST(ReferenceSweep, CountersAndPhaseCallsArePinned)
 {
     // The reference sweep: every workload over the full design space
-    // at 1 M refs per trace. One worker thread fixes the batch split
-    // (two batch groups per workload) and the timing memo's
-    // hit/miss split, so every count below is exact. A counter that
+    // at 1 M refs per trace. One worker thread fixes the sweep plan
+    // (one bin, so one batch group, per workload) and the timing
+    // memo's hit/miss split, so every count below is exact. A counter that
     // stops ticking, ticks twice, or a phase that disappears shows
     // up here as a diff.
     setParallelWorkerCount(1);
@@ -502,7 +502,7 @@ TEST(ReferenceSweep, CountersAndPhaseCallsArePinned)
         {"cache.refs.data", 73797750},
         {"cache.refs.instr", 209702250},
         {"cache.simulations", 315},
-        {"explore.batch.groups", 14},
+        {"explore.batch.groups", 7},
         {"explore.batch.lanes", 315},
         {"explore.missrate_cache.hits", 0},
         {"explore.missrate_cache.misses", 315},
@@ -519,7 +519,7 @@ TEST(ReferenceSweep, CountersAndPhaseCallsArePinned)
 
     const std::map<std::string, std::uint64_t> calls = {
         {phase::kModelArea, 315}, {phase::kModelTiming, 17},
-        {phase::kModelTpi, 315},  {phase::kSimBatch, 14},
+        {phase::kModelTpi, 315},  {phase::kSimBatch, 7},
         {phase::kTraceLoad, 7},
     };
     const auto phases = prof.snapshot();
@@ -529,6 +529,39 @@ TEST(ReferenceSweep, CountersAndPhaseCallsArePinned)
         ASSERT_NE(it, phases.end()) << name;
         EXPECT_EQ(it->second.calls, n) << name;
     }
+}
+
+TEST(ReferenceSweep, FourWorkerPlanCountsArePinned)
+{
+    // The same sweep at four workers: every workload plans four bins
+    // of whole L1 groups, each one trace pass. Only race-free counts
+    // are pinned; which worker misses the timing memo first is not.
+    setParallelWorkerCount(4);
+    MetricsRegistry &m = MetricsRegistry::global();
+    m.resetAll();
+    Profiler &prof = Profiler::global();
+    prof.reset();
+    const bool wasEnabled = prof.enabled();
+    prof.setEnabled(true);
+
+    MissRateEvaluator ev(1000000);
+    Explorer ex(ev);
+    SystemAssumptions a;
+    FailureReport report;
+    std::size_t points = 0;
+    for (Benchmark b : Workloads::all())
+        points += ex.sweep(b, a, true, true, &report).size();
+    prof.setEnabled(wasEnabled);
+    setParallelWorkerCount(0);
+
+    EXPECT_EQ(points, 315u);
+    EXPECT_TRUE(report.empty());
+    EXPECT_EQ(m.counter("explore.batch.groups").value(), 28u);
+    EXPECT_EQ(m.counter("explore.batch.lanes").value(), 315u);
+    const auto phases = prof.snapshot();
+    auto it = phases.find(phase::kSimBatch);
+    ASSERT_NE(it, phases.end());
+    EXPECT_EQ(it->second.calls, 28u);
 }
 
 // ------------------------------------------------------------ manifest
