@@ -24,6 +24,7 @@
  *                        it stopped
  *   --resume             require FILE to exist (guards against a
  *                        typo silently starting a cold run)
+ *   --store-fsync        fsync FILE after every append
  *
  * Fault isolation (docs/robustness.md):
  *   --isolate=process  simulate each shard of the sweep in a forked
@@ -31,9 +32,9 @@
  *                      design point is retried, bisected and
  *                      quarantined instead of killing the run. The
  *                      remaining flags (--shard-points,
- *                      --shard-timeout, --max-retries, --store-fsync,
- *                      --inject-*) tune and drill the supervisor;
- *                      see supervisorOptionsFromArgs().
+ *                      --shard-timeout, --max-retries, --inject-*)
+ *                      tune and drill the supervisor; see
+ *                      supervisorOptionsFromArgs().
  *
  * Observability (docs/observability.md):
  *   --progress        live per-sweep progress lines on stderr (in
@@ -94,29 +95,23 @@ main(int argc, char **argv)
     SupervisorOptions sopts;
     const bool isolate = supervisorOptionsFromArgs(args, &sopts);
 
-    std::shared_ptr<SweepCache> store;
-    if (!flags.resultStore.empty() && !isolate) {
-        // In isolate mode the worker subprocesses own the store —
-        // the parent must not hold a second write handle on it.
-        store = std::make_shared<SweepCache>();
-        Status s = store->open(flags.resultStore);
+    // One store handle in either mode: supervised workers only simulate.
+    EvaluatorOptions evopts;
+    evopts.traceRefs = refs;
+    sopts.evaluator = evopts;
+    if (!flags.resultStore.empty()) {
+        evopts.resultStore = std::make_shared<SweepCache>();
+        ResultStoreOptions ro;
+        ro.fsyncOnCommit = flags.storeFsync;
+        Status s = evopts.resultStore->open(flags.resultStore, ro);
         if (!s.ok())
             fatal("result store: %s", s.message().c_str());
     }
-
-    EvaluatorOptions evopts;
-    evopts.traceRefs = refs;
-    evopts.resultStore = store;
     MissRateEvaluator ev(evopts);
     Explorer ex(ev);
     if (progress)
         ex.setProgressCallback(stderrProgressPrinter(
             Workloads::info(bench).name));
-    if (isolate) {
-        sopts.evaluator = evopts;
-        sopts.evaluator.resultStore.reset();
-        sopts.resultStorePath = flags.resultStore;
-    }
 
     std::printf("workload: %s    area budget: %.0f rbe    off-chip: "
                 "%.0f ns\n\n",

@@ -19,7 +19,8 @@
  * Persistence (docs/parallelism.md): --result-store=FILE keeps every
  * simulated point in FILE and serves repeated points from it, so a
  * killed run --resume's where it stopped and regenerating a figure
- * with the same refs is nearly free.
+ * with the same refs is nearly free; --store-fsync fsyncs FILE after
+ * every append.
  *
  * Fault isolation (docs/robustness.md): --isolate=process simulates
  * each shard of the sweep in a forked worker subprocess, so a
@@ -191,21 +192,17 @@ main(int argc, char **argv)
     bool progress = flags.progress;
     SupervisorOptions sopts;
     const bool isolate = supervisorOptionsFromArgs(args, &sopts);
+    // One store handle in either mode: supervised workers only simulate.
     std::shared_ptr<SweepCache> store;
-    if (!flags.resultStore.empty() && !isolate) {
-        // In isolate mode the worker subprocesses own the store —
-        // the parent must not hold a second write handle on it.
+    if (!flags.resultStore.empty()) {
         store = std::make_shared<SweepCache>();
-        Status s = store->open(flags.resultStore);
+        ResultStoreOptions ro;
+        ro.fsyncOnCommit = flags.storeFsync;
+        Status s = store->open(flags.resultStore, ro);
         if (!s.ok())
             fatal("result store: %s", s.message().c_str());
     }
-    if (isolate) {
-        EvaluatorOptions evopts;
-        evopts.traceRefs = refs;
-        sopts.evaluator = evopts;
-        sopts.resultStorePath = flags.resultStore;
-    }
+    sopts.evaluator.traceRefs = refs;
     cli::TelemetrySession telemetry(flags);
 
     auto runStart = std::chrono::steady_clock::now();

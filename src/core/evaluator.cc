@@ -5,7 +5,6 @@
 
 #include "evaluator.hh"
 
-#include <optional>
 #include <sstream>
 
 #include "core/batch_engine.hh"
@@ -195,109 +194,108 @@ std::vector<Expected<HierarchyStats>>
 MissRateEvaluator::tryMissStatsBatch(Benchmark b,
                                      std::span<const SystemConfig> configs)
 {
-    // Placeholder status for slots resolved later; every slot is
-    // overwritten before the function returns.
-    const Status pending =
-        statusf(StatusCode::InternalError, "batch slot not resolved");
-
+    MissResolution r = resolveMissStats(b, configs);
+    const auto stats = simulateMissStats(b, r.lanes);
+    for (std::size_t lane = 0; lane < r.lanes.size(); ++lane) {
+        if (stats[lane].ok())
+            rememberMissStats(b, r.lanes[lane], stats[lane].value());
+        for (std::size_t i : r.slots[lane])
+            r.answered[i].emplace(stats[lane]);
+    }
     std::vector<Expected<HierarchyStats>> out;
     out.reserve(configs.size());
-    std::vector<std::size_t> missing;   ///< slot index -> configs index
-    std::vector<std::size_t> missingLane; ///< slot index -> lane index
-    std::vector<SystemConfig> laneConfigs; ///< one per unique memo key
-    std::vector<std::string> laneKeys;
-    std::map<std::string, std::size_t> laneOf;
+    for (std::optional<Expected<HierarchyStats>> &a : r.answered)
+        out.push_back(std::move(*a));
+    return out;
+}
 
+MissResolution
+MissRateEvaluator::resolveMissStats(Benchmark b,
+                                    std::span<const SystemConfig> configs)
+{
+    MissResolution r;
+    r.answered.resize(configs.size());
+    std::vector<std::string> laneKeys;
     {
+        std::map<std::string, std::size_t> laneOf;
         std::lock_guard<std::mutex> lock(mu_);
         for (std::size_t i = 0; i < configs.size(); ++i) {
             Status cs = configs[i].check();
             if (!cs.ok()) {
-                out.emplace_back(std::move(cs));
+                r.answered[i].emplace(std::move(cs));
                 continue;
             }
             std::string k = key(b, configs[i]);
             auto it = results_.find(k);
             if (it != results_.end()) {
                 EvalMetrics::get().memoHits.inc();
-                out.emplace_back(it->second);
+                r.answered[i].emplace(it->second);
                 continue;
             }
-            out.emplace_back(pending);
-            missing.push_back(i);
             auto [lit, inserted] =
-                laneOf.emplace(std::move(k), laneConfigs.size());
+                laneOf.emplace(std::move(k), laneKeys.size());
             if (inserted) {
-                laneConfigs.push_back(configs[i]);
                 laneKeys.push_back(lit->first);
+                r.lanes.push_back(configs[i]);
+                r.slots.emplace_back();
             }
-            missingLane.push_back(lit->second);
+            r.slots[lit->second].push_back(i);
         }
     }
-    if (missing.empty())
-        return out;
-    EvalMetrics::get().memoMisses.inc(laneConfigs.size());
+    EvalMetrics::get().memoMisses.inc(r.lanes.size());
+    if (!hasResultStore())
+        return r;
 
-    // Second cache level: resolve lanes from the persistent store
-    // before touching the trace. laneStats[lane] ends up holding
-    // each lane's statistics however they were obtained; only the
-    // lanes the store could not answer simulate, and when that set
-    // is empty the trace is never loaded or generated at all.
-    std::vector<std::optional<HierarchyStats>> laneStats(
-        laneConfigs.size());
-    std::vector<std::string> laneText(laneConfigs.size());
-    std::vector<std::size_t> simLanes;
-    if (hasResultStore()) {
-        for (std::size_t lane = 0; lane < laneConfigs.size(); ++lane) {
-            laneText[lane] = storeKeyText(b, laneConfigs[lane]);
-            laneStats[lane] = store_->lookup(laneText[lane]);
-            if (!laneStats[lane])
-                simLanes.push_back(lane);
-        }
-    } else {
-        for (std::size_t lane = 0; lane < laneConfigs.size(); ++lane)
-            simLanes.push_back(lane);
-    }
-
-    // Timing-only knobs collapse onto one memo key, so each unique
-    // key simulates exactly once — one lane — and the whole group
-    // shares a single pass over the trace.
-    Status traceFailure;
-    if (!simLanes.empty()) {
-        Expected<const TraceBuffer *> t = tryTrace(b);
-        if (!t.ok()) {
-            traceFailure = t.status();
-        } else {
-            std::vector<SystemConfig> simConfigs;
-            simConfigs.reserve(simLanes.size());
-            for (std::size_t lane : simLanes)
-                simConfigs.push_back(laneConfigs[lane]);
-            BatchEngine::Result batch = BatchEngine::simulateConfigs(
-                *t.value(), warmupRefs(), simConfigs);
-            for (std::size_t j = 0; j < simLanes.size(); ++j) {
-                laneStats[simLanes[j]] = batch.stats[j];
-                recordHierarchyMetrics(batch.stats[j]);
-                if (hasResultStore())
-                    store_->store(laneText[simLanes[j]],
-                                  batch.stats[j]);
+    // Second cache level: the store answers lanes before anything
+    // touches the trace, and its hits join the memo.
+    std::size_t kept = 0;
+    for (std::size_t lane = 0; lane < r.lanes.size(); ++lane) {
+        if (auto s = store_->lookup(storeKeyText(b, r.lanes[lane]))) {
+            {
+                std::lock_guard<std::mutex> lock(mu_);
+                results_.emplace(laneKeys[lane], *s);
             }
+            for (std::size_t i : r.slots[lane])
+                r.answered[i].emplace(*s);
+            continue;
         }
+        if (kept != lane) { // a self-move would empty the slots
+            r.lanes[kept] = std::move(r.lanes[lane]);
+            r.slots[kept] = std::move(r.slots[lane]);
+        }
+        ++kept;
     }
+    r.lanes.resize(kept);
+    r.slots.resize(kept);
+    return r;
+}
 
+std::vector<Expected<HierarchyStats>>
+MissRateEvaluator::simulateMissStats(Benchmark b,
+                                     std::span<const SystemConfig> configs)
+{
+    if (configs.empty())
+        return {};
+    Expected<const TraceBuffer *> t = tryTrace(b);
+    if (!t.ok())
+        return {configs.size(), Expected<HierarchyStats>(t.status())};
+    BatchEngine::Result batch =
+        BatchEngine::simulateConfigs(*t.value(), warmupRefs(), configs);
+    for (const HierarchyStats &s : batch.stats)
+        recordHierarchyMetrics(s);
+    return {batch.stats.begin(), batch.stats.end()};
+}
+
+void
+MissRateEvaluator::rememberMissStats(Benchmark b, const SystemConfig &config,
+                                     const HierarchyStats &stats)
+{
     {
         std::lock_guard<std::mutex> lock(mu_);
-        for (std::size_t lane = 0; lane < laneKeys.size(); ++lane) {
-            if (laneStats[lane])
-                results_.emplace(laneKeys[lane], *laneStats[lane]);
-        }
+        results_.emplace(key(b, config), stats);
     }
-    for (std::size_t j = 0; j < missing.size(); ++j) {
-        const std::optional<HierarchyStats> &s =
-            laneStats[missingLane[j]];
-        out[missing[j]] = s ? Expected<HierarchyStats>(*s)
-                            : Expected<HierarchyStats>(traceFailure);
-    }
-    return out;
+    if (hasResultStore())
+        store_->store(storeKeyText(b, config), stats);
 }
 
 } // namespace tlc

@@ -20,7 +20,9 @@
  * ONE trace pass via the batch engine (core/batch_engine.hh) —
  * memoized configs are answered from cache, the rest share a single
  * decode of the benchmark trace. tryMissStats() is a batch of one,
- * so the batch engine is the evaluator's only simulator.
+ * so the batch engine is the evaluator's only simulator. A batch is
+ * three public stages — resolve, simulate, remember — so a sweep can
+ * simulate elsewhere (worker team, forked workers) and keep the rest.
  *
  * Persistence: with EvaluatorOptions::resultStore set, a second
  * cache level sits between the memo and simulation — a persistent,
@@ -46,6 +48,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -125,6 +128,19 @@ struct EvaluatorOptions
 };
 
 /**
+ * resolveMissStats's answer: what check(), the memo or the store
+ * answered, and the rest as lanes to simulate, one per unique memo
+ * key (timing-only knobs share a key) in order of first appearance.
+ */
+struct MissResolution
+{
+    /** Per input index: its answer, or nullopt when a lane has it. */
+    std::vector<std::optional<Expected<HierarchyStats>>> answered;
+    std::vector<SystemConfig> lanes;
+    std::vector<std::vector<std::size_t>> slots; ///< indices per lane
+};
+
+/**
  * Runs configurations against benchmark traces. Results depend only
  * on the functional cache parameters, so the memoization key ignores
  * timing-only knobs (off-chip time, dual porting).
@@ -168,6 +184,22 @@ class MissRateEvaluator
      */
     std::vector<Expected<HierarchyStats>> tryMissStatsBatch(
         Benchmark b, std::span<const SystemConfig> configs);
+
+    /** Stage one: answer what check(), the memo and the store can
+     *  (a store hit joins the memo); never loads the trace. */
+    MissResolution resolveMissStats(Benchmark b,
+                                    std::span<const SystemConfig> configs);
+
+    /** Stage two: simulate valid, distinct-key @p configs in ONE
+     *  trace pass, without memo or store. An unloadable trace fails
+     *  every slot; an empty list loads nothing. */
+    std::vector<Expected<HierarchyStats>> simulateMissStats(
+        Benchmark b, std::span<const SystemConfig> configs);
+
+    /** Stage three: insert @p stats into the memo, then append it to
+     *  the result store when one is attached. */
+    void rememberMissStats(Benchmark b, const SystemConfig &config,
+                           const HierarchyStats &stats);
 
     std::uint64_t traceRefs() const { return traceRefs_; }
     std::uint64_t warmupRefs() const;

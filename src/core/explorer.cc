@@ -65,7 +65,8 @@ l2LaneWeight(std::uint64_t l1_bytes)
 } // namespace
 
 std::vector<SweepBin>
-planSweep(std::span<const SystemConfig> configs, unsigned workers)
+planSweep(std::span<const SystemConfig> configs, unsigned workers,
+          std::size_t max_pass_configs)
 {
     // Units in order of first appearance: every config whose L1
     // SimGroup would share, strict-inclusive lanes included so their
@@ -115,11 +116,11 @@ planSweep(std::span<const SystemConfig> configs, unsigned workers)
     for (const Unit &u : units) {
         SweepBin &bin = *lightest();
         // A unit opens a new pass when the bin's last one would
-        // outgrow kMaxPassConfigs; a unit never splits.
+        // outgrow the bound; a unit never splits.
         if (bin.passes.empty() ||
             (!bin.passes.back().indices.empty() &&
              bin.passes.back().indices.size() + u.indices.size() >
-                 kMaxPassConfigs))
+                 max_pass_configs))
             bin.passes.emplace_back();
         SweepPass &pass = bin.passes.back();
         pass.indices.insert(pass.indices.end(), u.indices.begin(),
@@ -363,13 +364,8 @@ Explorer::evaluate(Benchmark b, const SystemConfig &config)
 Expected<DesignPoint>
 Explorer::tryEvaluate(Benchmark b, const SystemConfig &config)
 {
-    // Validate the geometry before pricing: both the cache model
-    // and the timing model panic on degenerate shapes, and a sweep
-    // must survive those as skipped points.
-    Status cs = config.check();
-    if (!cs.ok())
-        return cs;
-
+    // A degenerate shape fails check() inside tryMissStats, before
+    // any model that would panic on it.
     Expected<HierarchyStats> miss = evaluator_.tryMissStats(b, config);
     if (!miss.ok())
         return miss.status();
@@ -394,13 +390,10 @@ Explorer::evaluateAll(Benchmark b, const std::vector<SystemConfig> &configs,
     if (configs.empty())
         return out;
 
-    // An unloadable benchmark trace fails every point the same way;
-    // detect it once up front and report the benchmark, not every
-    // config. With a persistent result store attached the preflight
-    // is skipped — a fully warm sweep must not load or generate the
-    // trace at all — and the same trace failure, should it surface
-    // from the lanes that do simulate, is collapsed to one report
-    // entry by the collector.
+    // An unloadable trace fails every point the same way: report the
+    // benchmark once, up front. With a result store the preflight is
+    // skipped (a warm sweep must not load the trace); the collector
+    // collapses that failure to one entry instead.
     if (!evaluator_.hasResultStore()) {
         Expected<const TraceBuffer *> t = evaluator_.tryTrace(b);
         if (!t.ok()) {
@@ -416,39 +409,35 @@ Explorer::evaluateAll(Benchmark b, const std::vector<SystemConfig> &configs,
     }
 
     SweepCollector collector(*this, b, configs, report);
+    const MissResolution &pending = collector.resolve();
 
-    // The trace-event recorder, inert unless switched on, adds one
-    // slice per simulation batch plus one per design point on the
-    // pricing worker's track; it cannot affect results.
+    // One slice per simulation pass (the collector adds one per
+    // design point) when the trace-event recorder is on.
     TraceEventRecorder *recorder = TraceEventRecorder::active();
     const char *benchName = Workloads::info(b).name;
 
-    // Benchmark-major batching: planSweep packs whole L1 groups into
-    // one bin per worker, each of a bin's passes simulates its
-    // memo-missing configs as lanes of one trace pass (one pass per
-    // bin unless the bin outgrows kMaxPassConfigs), and bins
-    // distribute across the worker team. The plan cannot affect
-    // results — every lane carries its own tag state and replacement
-    // RNG stream, exactly as a standalone Hierarchy would — so the
-    // sweep stays byte-identical to a serial one whatever the worker
-    // count. Each index writes only its own slot; the collector
-    // gathers results and failures after the join, in input-index
-    // order, which keeps the output deterministic. Points reach the
-    // collector, and so the progress callback, a pass at a time.
+    // planSweep packs whole L1 groups into one bin per worker; each
+    // pass of a bin is one trace pass. The plan cannot affect results
+    // — every lane carries its own tag state and replacement RNG
+    // stream, exactly as a standalone Hierarchy would — and the
+    // collector orders results by input index, so the sweep is
+    // byte-identical to a serial one whatever the worker count.
+    // Simulated points reach the collector, and the progress
+    // callback, a pass at a time.
     const std::vector<SweepBin> bins =
-        planSweep(configs, parallelWorkerCount());
+        planSweep(pending.lanes, parallelWorkerCount());
 
     parallelFor(bins.size(), [&](std::size_t bi) {
         for (const SweepPass &pass : bins[bi].passes) {
             std::vector<SystemConfig> batch;
             batch.reserve(pass.indices.size());
-            for (std::size_t i : pass.indices)
-                batch.push_back(configs[i]);
+            for (std::size_t lane : pass.indices)
+                batch.push_back(pending.lanes[lane]);
             auto bbegin = recorder
                               ? TraceEventRecorder::Clock::now()
                               : TraceEventRecorder::Clock::time_point{};
-            std::vector<Expected<HierarchyStats>> miss =
-                evaluator_.tryMissStatsBatch(b, batch);
+            const std::vector<Expected<HierarchyStats>> miss =
+                evaluator_.simulateMissStats(b, batch);
             if (recorder) {
                 char weight[32];
                 std::snprintf(weight, sizeof(weight), "%.3f", pass.weight);
@@ -463,26 +452,8 @@ Explorer::evaluateAll(Benchmark b, const std::vector<SystemConfig> &configs,
                         ", \"weight\": " + weight + ", \"count\": " +
                         std::to_string(pass.indices.size()) + "}");
             }
-            for (std::size_t j = 0; j < pass.indices.size(); ++j) {
-                const std::size_t i = pass.indices[j];
-                auto begin = recorder
-                                 ? TraceEventRecorder::Clock::now()
-                                 : TraceEventRecorder::Clock::time_point{};
-                Expected<DesignPoint> p =
-                    miss[j].ok()
-                        ? Expected<DesignPoint>(
-                              pricePoint(configs[i], miss[j].value()))
-                        : Expected<DesignPoint>(miss[j].status());
-                if (recorder) {
-                    recorder->complete(
-                        configs[i].label(), "design-point", begin,
-                        TraceEventRecorder::Clock::now(),
-                        parallelWorkerId(),
-                        std::string("{\"benchmark\": \"") + benchName +
-                            "\", \"index\": " + std::to_string(i) + "}");
-                }
-                collector.record(i, std::move(p));
-            }
+            for (std::size_t j = 0; j < pass.indices.size(); ++j)
+                collector.recordLane(pass.indices[j], miss[j]);
         }
     });
     return collector.finish();
@@ -572,11 +543,50 @@ SweepCollector::SweepCollector(Explorer &ex, Benchmark b,
     ExploreMetrics::get().sweeps.inc();
 }
 
+const MissResolution &
+SweepCollector::resolve()
+{
+    lanes_ = ex_.evaluator_.resolveMissStats(bench_, configs_);
+    for (std::size_t i = 0; i < lanes_.answered.size(); ++i) {
+        if (lanes_.answered[i])
+            record(i, *lanes_.answered[i]);
+    }
+    return lanes_;
+}
+
 void
-SweepCollector::record(std::size_t i, Expected<DesignPoint> point)
+SweepCollector::recordLane(std::size_t lane,
+                           const Expected<HierarchyStats> &miss)
+{
+    if (miss.ok()) {
+        ex_.evaluator_.rememberMissStats(bench_, lanes_.lanes[lane],
+                                         miss.value());
+    }
+    for (std::size_t i : lanes_.slots[lane])
+        record(i, miss);
+}
+
+void
+SweepCollector::record(std::size_t i, const Expected<HierarchyStats> &miss)
 {
     tlc_assert(!slots_[i].has_value(), "sweep index %zu recorded twice",
                i);
+    TraceEventRecorder *recorder = TraceEventRecorder::active();
+    auto begin = recorder ? TraceEventRecorder::Clock::now()
+                          : TraceEventRecorder::Clock::time_point{};
+    Expected<DesignPoint> point =
+        miss.ok() ? Expected<DesignPoint>(
+                        ex_.pricePoint(configs_[i], miss.value()))
+                  : Expected<DesignPoint>(miss.status());
+    if (recorder) {
+        recorder->complete(configs_[i].label(), "design-point", begin,
+                           TraceEventRecorder::Clock::now(),
+                           parallelWorkerId(),
+                           std::string("{\"benchmark\": \"") +
+                               Workloads::info(bench_).name +
+                               "\", \"index\": " + std::to_string(i) +
+                               "}");
+    }
     if (!point.ok())
         failed_.fetch_add(1, std::memory_order_relaxed);
     slots_[i].emplace(std::move(point));

@@ -10,15 +10,14 @@
  * complete — one corrupt trace byte must not abort a multi-hour
  * multi-hundred-point run.
  *
- * Sweeps are benchmark-major and batched: evaluateAll() plans the
- * configuration list into one bin per worker of the parallelFor team
- * (planSweep; util/parallel.hh, TLC_THREADS or --threads control the
- * width), each bin a set of whole shared-L1 groups, and simulates
- * each bin's memo-missing configurations in ONE pass over the
- * benchmark trace via MissRateEvaluator::tryMissStatsBatch (a bin
- * holding more than kMaxPassConfigs configurations makes a pass per
- * kMaxPassConfigs-sized run of groups) — instead of re-walking the
- * trace once per design point. Results are
+ * Sweeps are benchmark-major and batched, one pipeline for every
+ * executor (SweepCollector): the memo and result store answer what
+ * they can, planSweep packs the rest into bins of whole shared-L1
+ * groups, and each pass of a bin simulates in ONE pass over the
+ * benchmark trace instead of once per design point. evaluateAll()
+ * runs one bin per worker of the parallelFor team (util/parallel.hh,
+ * TLC_THREADS or --threads control the width); supervisedEvaluateAll
+ * (core/shard_runner.hh) runs each pass in a forked worker. Results are
  * deterministic: simulation lanes are fully independent, and the
  * output vector, the envelope, and the FailureReport are ordered by
  * input index regardless of the plan or worker completion order,
@@ -189,7 +188,8 @@ struct SweepBin
 };
 
 /**
- * Plan one benchmark sweep of @p configs across @p workers threads.
+ * Plan one benchmark sweep of @p configs across @p workers threads,
+ * each trace pass bounded by @p max_pass_configs.
  * A unit is an L1 group: the configs whose L1s SimGroup::sharesL1
  * says are interchangeable, so they share one L1 walk (or fill
  * strict-inclusive lane blocks together) — a group is never split,
@@ -197,15 +197,16 @@ struct SweepBin
  * Units are packed longest first (ties: lower first index) into
  * min(workers, units) bins, each into the least-loaded bin (ties:
  * lower bin). A bin is one trace pass unless its configs outgrow
- * kMaxPassConfigs: a unit that would push the bin's current pass
+ * @p max_pass_configs: a unit that would push the bin's current pass
  * past the bound opens a new pass (a unit larger than the bound is a
  * pass of its own). Inside a parallelFor body the plan is one bin:
  * nested loops run serially. Configs that fail SystemConfig::check()
  * cost nothing to price and join the last pass of the least-loaded
  * bin. Deterministic: the same input gives the same bins.
  */
-std::vector<SweepBin> planSweep(std::span<const SystemConfig> configs,
-                                unsigned workers);
+std::vector<SweepBin>
+planSweep(std::span<const SystemConfig> configs, unsigned workers,
+          std::size_t max_pass_configs = kMaxPassConfigs);
 
 /**
  * Prices configurations and sweeps design spaces. Timing and area
@@ -265,12 +266,12 @@ class Explorer
                                       const SystemConfig &config);
 
     /**
-     * Price an explicit configuration list benchmark-major: the
-     * list is planned into one bin of whole L1 groups per worker
-     * (planSweep), bins run across the parallelFor worker team, and
-     * each bin's memo-missing configurations share one pass over the
-     * benchmark trace (tryMissStatsBatch; more than kMaxPassConfigs
-     * of them take several). The output vector is
+     * Price an explicit configuration list benchmark-major: what the
+     * memo and store do not answer is planned into one bin of whole
+     * L1 groups per worker (planSweep), bins run across the
+     * parallelFor worker team, and each bin shares one pass over the
+     * benchmark trace (more than kMaxPassConfigs configs take
+     * several). The output vector is
      * ordered by input index whatever the plan, and with @p report,
      * failed points are recorded there in input order and skipped
      * (fail-soft); without it, a failure is fatal as in the classic
@@ -322,9 +323,7 @@ class Explorer
      * Assemble a DesignPoint from already-computed miss statistics:
      * timing, area and TPI are (memoized) pure functions of the
      * configuration, so pricing the same stats twice is
-     * byte-identical. The process-isolated sweep supervisor
-     * (core/shard_runner.hh) uses this to price statistics its
-     * worker subprocesses simulated out of process.
+     * byte-identical. SweepCollector prices every sweep with it.
      */
     DesignPoint pricePoint(const SystemConfig &config,
                            const HierarchyStats &miss);
@@ -342,13 +341,13 @@ class Explorer
 };
 
 /**
- * The tail every sweep executor shares, one per benchmark sweep: the
- * per-index result slots, the progress throttle, and the rule that
- * turns slots into points plus FailureReport entries. evaluateAll
- * fills it from the worker team; the process-isolated supervisor
- * (core/shard_runner.hh) fills it from worker result frames and
- * quarantine decisions. Constructing one counts a sweep
- * (explore.sweeps).
+ * The pipeline every sweep executor shares, one per benchmark sweep:
+ * resolve, then remember, price and record each simulated lane as it
+ * arrives, then collect — per-index slots, the progress throttle, and
+ * the rule that turns slots into points plus FailureReport entries.
+ * Executors only plan and simulate the lanes: evaluateAll on the
+ * worker team, the supervisor (core/shard_runner.hh) in forked
+ * workers. Constructing one counts a sweep (explore.sweeps).
  */
 class SweepCollector
 {
@@ -358,15 +357,20 @@ class SweepCollector
                    const std::vector<SystemConfig> &configs,
                    FailureReport *report);
 
+    /** Record what resolveMissStats answers; return the lanes left
+     *  to simulate. Call once, first. */
+    const MissResolution &resolve();
+
     /** Whether index @p i has been recorded. */
     bool has(std::size_t i) const { return slots_[i].has_value(); }
 
     /**
-     * Fill slot @p i (once) and fire the explorer's progress
-     * callback, throttled to its interval. Distinct indices may be
+     * Record lane @p lane's outcome: remember ok statistics (so a
+     * result is in the store before it counts as done), then price
+     * and record every index the lane answers. Distinct lanes may be
      * recorded from several threads at once.
      */
-    void record(std::size_t i, Expected<DesignPoint> point);
+    void recordLane(std::size_t lane, const Expected<HierarchyStats> &miss);
 
     /**
      * Fire the final (done == total) progress update, then collect
@@ -381,12 +385,16 @@ class SweepCollector
     std::vector<DesignPoint> finish();
 
   private:
+    /** Price @p miss into slot @p i (once) and fire the explorer's
+     *  progress callback, throttled to its interval. */
+    void record(std::size_t i, const Expected<HierarchyStats> &miss);
     void fireProgress(std::size_t done_now, bool final);
 
     Explorer &ex_;
     Benchmark bench_;
     const std::vector<SystemConfig> &configs_;
     FailureReport *report_;
+    MissResolution lanes_;
     std::vector<std::optional<Expected<DesignPoint>>> slots_;
     std::chrono::steady_clock::time_point start_;
     std::atomic<std::size_t> done_{0};

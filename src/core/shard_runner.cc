@@ -2,7 +2,7 @@
  * @file
  * Shard-runner implementation: the worker-side simulate-and-report
  * loop and the parent-side retry/bisect/quarantine state machine,
- * which feeds the same SweepCollector as Explorer::evaluateAll so
+ * which runs the same SweepCollector as Explorer::evaluateAll so
  * supervised output stays byte-identical to it.
  */
 
@@ -325,13 +325,13 @@ hangForever()
 
 /**
  * The forked worker: arm the flight recorder, rebuild the evaluator
- * in this process, simulate the shard's configurations, persist to
- * the shard's own store handle, report each result as one frame,
- * stream telemetry (metrics deltas, phase stats, trace slices,
- * flight ring), and finish with a Done frame. Injected Crash/Hang
- * faults fire while *reporting* the poisoned point — after the
- * flight recorder has seen its label — so the emergency frame names
- * the exact design point a quarantine can blame.
+ * in this process, simulate the shard's configurations in one trace
+ * pass (no memo, no store), report each result as one frame, stream
+ * telemetry (metrics deltas, phase stats, trace slices, flight
+ * ring), and finish with a Done frame. Injected Crash/Hang faults
+ * fire while *reporting* the poisoned point — after the flight
+ * recorder has seen its label — so the emergency frame names the
+ * exact design point a quarantine can blame.
  */
 void
 runShardWorker(int write_fd, Benchmark b,
@@ -375,33 +375,8 @@ runShardWorker(int write_fd, Benchmark b,
                    : TraceEventRecorder::Clock::time_point{};
     };
 
-    // This worker's own evaluator and store handle: the parent's
-    // evaluator memo is inherited copy-on-write by fork but its
-    // store fd must not be shared (two writers on one offset would
-    // interleave), so the child opens the path itself. An unopenable
-    // store degrades this shard to uncached, exactly like the
-    // in-process engine.
-    EvaluatorOptions evopts = opts.evaluator;
-    evopts.resultStore.reset();
-    std::shared_ptr<SweepCache> cache;
-    if (!opts.resultStorePath.empty()) {
-        fr.setPhase("store.open");
-        auto t0 = now();
-        cache = std::make_shared<SweepCache>();
-        ResultStoreOptions ro;
-        ro.fsyncOnCommit = opts.storeFsync;
-        Status s = cache->open(opts.resultStorePath, ro);
-        if (s.ok()) {
-            evopts.resultStore = cache;
-            fr.note("store '%s' open", opts.resultStorePath.c_str());
-        } else {
-            cache.reset();
-            fr.note("store '%s' unopenable; shard runs uncached",
-                    opts.resultStorePath.c_str());
-        }
-        slice("store.open", "worker", t0);
-    }
-    MissRateEvaluator ev(evopts);
+    // The parent resolves and remembers, so the worker only simulates.
+    MissRateEvaluator ev(opts.evaluator);
 
     std::vector<SystemConfig> shardConfigs;
     shardConfigs.reserve(shard.size());
@@ -412,19 +387,9 @@ runShardWorker(int write_fd, Benchmark b,
     fr.note("sim.batch: %zu config(s)", shardConfigs.size());
     auto simBegin = now();
     std::vector<Expected<HierarchyStats>> miss =
-        ev.tryMissStatsBatch(b, shardConfigs);
+        ev.simulateMissStats(b, shardConfigs);
     slice("sim.batch", "worker", simBegin);
     fr.note("sim.batch done");
-
-    // Commit to disk before claiming success on the pipe: a result
-    // the parent saw must be one a resumed run can find in the
-    // store.
-    if (cache) {
-        fr.setPhase("store.commit");
-        auto t0 = now();
-        cache->close();
-        slice("store.commit", "worker", t0);
-    }
 
     fr.setPhase("report");
     auto reportBegin = now();
@@ -501,20 +466,18 @@ runShardWorker(int write_fd, Benchmark b,
 // -----------------------------------------------------------------
 
 /**
- * The retry/bisect/quarantine state machine of one supervised sweep.
- * Each worker result is priced as its frame arrives and recorded in
- * the sweep's collector, as is each quarantined point's status;
- * shards run strictly sequentially (one result-store writer at a
- * time, and the simulation is the bottleneck, not the supervision).
+ * The retry/bisect/quarantine state machine of one supervised sweep:
+ * each planned pass is a shard of lanes, named by their first
+ * design-point index, and each result frame or quarantine is recorded
+ * in the collector as it arrives.
  */
 class ShardSupervisor
 {
   public:
-    ShardSupervisor(Explorer &ex, Benchmark b,
-                    const std::vector<SystemConfig> &configs,
+    ShardSupervisor(Benchmark b, const std::vector<SystemConfig> &configs,
                     const SupervisorOptions &opts,
                     SweepCollector &collector)
-        : ex_(ex), bench_(b), configs_(configs), opts_(opts),
+        : bench_(b), configs_(configs), opts_(opts),
           collector_(collector),
           faultFired_(opts.faults.faults.size(), 0),
           start_(std::chrono::steady_clock::now())
@@ -524,15 +487,18 @@ class ShardSupervisor
     void run()
     {
         ShardMetrics::get().sweeps.inc();
-        const std::size_t n = configs_.size();
-        const std::size_t per =
-            std::max<std::size_t>(1, opts_.pointsPerShard);
-        for (std::size_t lo = 0; lo < n; lo += per) {
-            const std::size_t hi = std::min(lo + per, n);
+        const MissResolution &pending = collector_.resolve();
+        laneOf_.assign(configs_.size(), kNoLane);
+        for (std::size_t lane = 0; lane < pending.lanes.size(); ++lane)
+            laneOf_[pending.slots[lane].front()] = lane;
+        // One worker: one bin, its passes run one after another.
+        const std::vector<SweepBin> plan = planSweep(
+            pending.lanes, 1, std::max<std::size_t>(1, opts_.pointsPerShard));
+        for (const SweepPass &pass : plan.front().passes) {
             std::vector<std::uint32_t> shard;
-            shard.reserve(hi - lo);
-            for (std::size_t i = lo; i < hi; ++i)
-                shard.push_back(static_cast<std::uint32_t>(i));
+            for (std::size_t lane : pass.indices)
+                shard.push_back(static_cast<std::uint32_t>(
+                    pending.slots[lane].front()));
             resolve(shard);
         }
     }
@@ -610,18 +576,13 @@ class ShardSupervisor
             case kTagResult: {
                 WireResult wr;
                 if (!decodeResult(payload, wr) ||
-                    wr.index >= configs_.size()) {
+                    wr.index >= configs_.size() ||
+                    laneOf_[wr.index] == kNoLane) {
                     badFrame = true;
                     return;
                 }
-                if (!collector_.has(wr.index)) {
-                    const Expected<HierarchyStats> &r = *wr.result;
-                    collector_.record(
-                        wr.index,
-                        r.ok() ? Expected<DesignPoint>(ex_.pricePoint(
-                                     configs_[wr.index], r.value()))
-                               : Expected<DesignPoint>(r.status()));
-                }
+                if (!collector_.has(wr.index))
+                    collector_.recordLane(laneOf_[wr.index], *wr.result);
                 ++rec.resultsDelivered;
                 return;
             }
@@ -844,8 +805,8 @@ class ShardSupervisor
                 flightCtx += lastFailedFlight_->phase;
                 flightCtx += "'";
             }
-            collector_.record(
-                idx,
+            collector_.recordLane(
+                laneOf_[idx],
                 statusf(code,
                         "isolated worker %s; point quarantined after %d "
                         "attempt(s)%s",
@@ -869,11 +830,13 @@ class ShardSupervisor
                                            pending.end()));
     }
 
-    Explorer &ex_;
+    static constexpr std::size_t kNoLane = ~std::size_t{0};
+
     Benchmark bench_;
     const std::vector<SystemConfig> &configs_;
     const SupervisorOptions &opts_;
     SweepCollector &collector_;
+    std::vector<std::size_t> laneOf_; ///< first index -> pending lane
     SupervisionStats stats_;
     std::vector<ShardTimeline> timeline_;
     std::vector<int> faultFired_;
@@ -897,7 +860,7 @@ supervisedEvaluateAll(Explorer &ex, Benchmark b,
         return out;
 
     SweepCollector collector(ex, b, configs, report);
-    ShardSupervisor sup(ex, b, configs, opts, collector);
+    ShardSupervisor sup(b, configs, opts, collector);
     sup.run();
     out.stats = sup.stats();
     out.timeline = std::move(sup.timeline());
@@ -1008,7 +971,6 @@ supervisorOptionsFromArgs(const ArgParser &args, SupervisorOptions *out)
     out->watchdog.timeoutSeconds = args.getDouble("shard-timeout", 60.0);
     out->retry.maxRetries =
         static_cast<int>(intIn("max-retries", 2, 0, kIntMax));
-    out->storeFsync = args.getBool("store-fsync", false);
 
     const int times =
         static_cast<int>(intIn("inject-times", -1, -1, kIntMax));

@@ -8,7 +8,9 @@
  * its fate with every design point it simulates: one wild pointer in
  * a simulation lane, one pathological configuration that loops
  * forever, and the whole multi-hour sweep dies. This layer trades a
- * fork() per shard for blast-radius containment:
+ * fork() per shard for blast-radius containment. The pipeline is
+ * Explorer::evaluateAll's (SweepCollector, planSweep); a shard is one
+ * planned pass of at most pointsPerShard configs of whole L1 groups:
  *
  *   run ──▶ worker simulates a shard out of process
  *    │          │ crash / hang / torn stream
@@ -23,16 +25,15 @@
  *
  * Healthy points are completely unaffected: workers return bit-exact
  * HierarchyStats over a CRC-framed pipe (util/supervisor.hh), the
- * parent re-prices them through Explorer::pricePoint (memoized pure
- * functions of the configuration), and results, envelopes and
- * failure-report ordering are byte-identical to an in-process run —
- * the differential tests in tests/test_supervisor.cc enforce this.
+ * parent records them like the in-process engine, and results,
+ * envelopes and failure-report ordering are byte-identical to an
+ * in-process run — the differential tests in
+ * tests/test_supervisor.cc enforce this.
  *
- * Crash-safe resume: each worker opens its own SweepCache at
- * SupervisorOptions::resultStorePath and appends every simulated
- * batch before reporting, so even a SIGKILLed *supervisor* resumes
- * warm — re-running with the same store answers finished shards from
- * disk. Shards run sequentially (one store writer, no append races).
+ * Crash-safe resume: the parent is the only writer of the store on
+ * its evaluator, and appends each result before recording it, so
+ * even a SIGKILLed *supervisor* resumes warm from every result it
+ * recorded; a sweep the store answers in full forks no worker.
  *
  * Fault injection: ShardFaultPlan deterministically makes a worker
  * crash, hang, exit early, or tear its result stream when its shard
@@ -108,23 +109,19 @@ struct ShardFaultPlan
     bool empty() const { return faults.empty(); }
 };
 
-/** How a supervised sweep should run. */
+/** How a supervised sweep should run (the store is the evaluator's). */
 struct SupervisorOptions
 {
-    /** Design points per worker subprocess before bisection. */
+    /** Plan pass bound: design points per worker subprocess before
+     *  bisection; a larger L1 group is one shard of its own. */
     std::size_t pointsPerShard = 32;
     /** Per-attempt watchdog (timeout => SIGTERM => SIGKILL). */
     WatchdogSpec watchdog;
     /** Retry budget and backoff pacing per shard. */
     RetryPolicy retry;
     /** Evaluator settings workers rebuild in their own process
-     *  (trace length, warmup, trace files). Its resultStore member
-     *  is ignored — workers open their own from resultStorePath. */
+     *  (trace length, warmup, trace files); they only simulate. */
     EvaluatorOptions evaluator;
-    /** Sweep-cache path each worker appends to ("" = uncached). */
-    std::string resultStorePath;
-    /** fsync the store on every commit (durability over speed). */
-    bool storeFsync = false;
     /** Deterministic fault injection (tests and recovery drills). */
     ShardFaultPlan faults;
 };
@@ -225,7 +222,6 @@ supervisedEvaluateAll(Explorer &ex, Benchmark b,
  *   --shard-points=N        design points per worker process (32)
  *   --shard-timeout=SECS    per-attempt watchdog; <=0 disables (60)
  *   --max-retries=N         re-runs per shard before bisection (2)
- *   --store-fsync           fsync the result store on every commit
  *
  * plus the deterministic fault-injection flags behind the recovery
  * drills in tools/check.sh:

@@ -24,6 +24,8 @@
 #include "util/parallel.hh"
 #include "util/units.hh"
 
+#include "reference_grid.hh"
+
 using namespace tlc;
 
 namespace {
@@ -393,6 +395,44 @@ TEST(SweepPlan, LongListsTakeBoundedPassesOfWholeGroups)
     ASSERT_EQ(big[0].passes.size(), 1u);
     EXPECT_EQ(big[0].passes[0].indices.size(), copies.size());
     EXPECT_EQ(big[0].passes[0].l1Groups, 1u);
+}
+
+TEST(SweepPlan, PassBoundCutsTheReferenceGridAtGroupBoundaries)
+{
+    // The bound a supervised sweep plans with (pointsPerShard): 8 L1
+    // groups of 8, heaviest (smallest L1) first, so a bound of 16
+    // gives the contiguous 16-point shards; a bound of 1 gives one
+    // pass per group and splits none.
+    const std::vector<SystemConfig> grid = referenceGrid();
+    std::vector<SweepBin> sixteen = planSweep(grid, 1, 16);
+    ASSERT_EQ(sixteen.size(), 1u);
+    ASSERT_EQ(sixteen[0].passes.size(), 4u);
+    for (std::size_t p = 0; p < 4; ++p) {
+        std::vector<std::size_t> want(16);
+        for (std::size_t k = 0; k < 16; ++k)
+            want[k] = 16 * p + k;
+        EXPECT_EQ(sixteen[0].passes[p].indices, want) << "pass " << p;
+        EXPECT_EQ(sixteen[0].passes[p].l1Groups, 2u);
+    }
+
+    std::vector<SweepBin> one = planSweep(grid, 1, 1);
+    ASSERT_EQ(one.size(), 1u);
+    ASSERT_EQ(one[0].passes.size(), 8u);
+    for (const SweepPass &pass : one[0].passes) {
+        EXPECT_EQ(pass.l1Groups, 1u);
+        ASSERT_EQ(pass.indices.size(), 8u);
+        for (std::size_t i : pass.indices)
+            EXPECT_EQ(grid[i].l1Bytes, grid[pass.indices.front()].l1Bytes);
+    }
+
+    // The paper's 45-point space at the default 32: 30 and 15 points,
+    // where contiguous 32-point shards walked the 16 KiB L1 twice.
+    SystemAssumptions a;
+    std::vector<SweepBin> paper = planSweep(DesignSpace::enumerate(a), 1, 32);
+    ASSERT_EQ(paper.size(), 1u);
+    ASSERT_EQ(paper[0].passes.size(), 2u);
+    EXPECT_EQ(paper[0].passes[0].indices.size(), 30u);
+    EXPECT_EQ(paper[0].passes[1].indices.size(), 15u);
 }
 
 TEST(ParallelDifferential, FullDesignSpaceMatchesSerial)

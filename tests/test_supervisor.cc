@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -101,14 +102,28 @@ runInProcess(const std::vector<SystemConfig> &configs)
     return r;
 }
 
-/** Supervised sweep on a fresh evaluator/explorer pair. */
+/** Evaluator options of the tests, with the result store at
+ *  @p store_path attached ("" = none). */
+EvaluatorOptions
+evaluatorOptions(const std::string &store_path = "")
+{
+    EvaluatorOptions opts;
+    opts.traceRefs = kRefs;
+    if (!store_path.empty()) {
+        opts.resultStore = std::make_shared<SweepCache>();
+        EXPECT_TRUE(opts.resultStore->open(store_path).ok());
+    }
+    return opts;
+}
+
+/** Supervised sweep on a fresh evaluator/explorer pair, with the
+ *  result store at @p store_path on the parent's evaluator. */
 SweepResult
 runSupervised(const std::vector<SystemConfig> &configs,
-              const SupervisorOptions &opts)
+              const SupervisorOptions &opts,
+              const std::string &store_path = "")
 {
-    EvaluatorOptions evopts;
-    evopts.traceRefs = kRefs;
-    MissRateEvaluator ev(std::move(evopts));
+    MissRateEvaluator ev(evaluatorOptions(store_path));
     Explorer ex(ev);
     FailureReport report;
     SweepResult r;
@@ -460,7 +475,8 @@ TEST(ShardRunner, SigkilledSupervisorResumesByteIdentical)
     // Phase 1: run a supervised sweep in a forked child (its own
     // process group, so killing it also kills any in-flight worker
     // it orphans), and SIGKILL the whole group after the first
-    // shard has committed to the store.
+    // result is recorded — the parent appended it to the store
+    // first.
     int progressPipe[2];
     ASSERT_EQ(pipe(progressPipe), 0);
     pid_t child = fork();
@@ -469,11 +485,7 @@ TEST(ShardRunner, SigkilledSupervisorResumesByteIdentical)
         setpgid(0, 0);
         close(progressPipe[0]);
         const int wfd = progressPipe[1];
-        SupervisorOptions opts = testOptions();
-        opts.resultStorePath = storePath;
-        EvaluatorOptions evopts;
-        evopts.traceRefs = kRefs;
-        MissRateEvaluator ev(std::move(evopts));
+        MissRateEvaluator ev(evaluatorOptions(storePath));
         Explorer ex(ev);
         ex.setProgressCallback([wfd](const SweepProgress &) {
             char b = '.';
@@ -481,26 +493,101 @@ TEST(ShardRunner, SigkilledSupervisorResumesByteIdentical)
         });
         FailureReport report;
         (void)supervisedEvaluateAll(ex, Benchmark::Gcc1, grid, &report,
-                                    opts);
+                                    testOptions());
         _exit(0);
     }
     close(progressPipe[1]);
     char b = 0;
-    ASSERT_EQ(::read(progressPipe[0], &b, 1), 1); // 1st shard done
+    ASSERT_EQ(::read(progressPipe[0], &b, 1), 1); // 1st result recorded
     kill(-child, SIGKILL);
     close(progressPipe[0]);
     int wstatus = 0;
     ASSERT_EQ(waitpid(child, &wstatus, 0), child);
     ASSERT_TRUE(WIFSIGNALED(wstatus)); // it did not finish on its own
 
-    // Phase 2: resume against the same store. Finished shards answer
-    // from disk; the tail simulates; output is byte-identical.
-    SupervisorOptions opts = testOptions();
-    opts.resultStorePath = storePath;
-    SweepResult resumed = runSupervised(grid, opts);
+    // Phase 2: resume against the same store. Recorded results
+    // answer from disk; the tail simulates; output is byte-identical.
+    // The resume must have used the store: at least one hit, and
+    // fewer lanes simulated than the grid holds.
+    auto &reg = MetricsRegistry::global();
+    const std::uint64_t hits0 = reg.counter("sweep_cache.hits").value();
+    const std::uint64_t lanes0 =
+        reg.counter("explore.batch.lanes").value();
+    SweepResult resumed = runSupervised(grid, testOptions(), storePath);
     expectIdentical(clean, resumed);
     EXPECT_EQ(resumed.stats.quarantined, 0u);
+    EXPECT_GE(reg.counter("sweep_cache.hits").value() - hits0, 1u);
+    EXPECT_LT(reg.counter("explore.batch.lanes").value() - lanes0,
+              grid.size());
     std::remove(storePath.c_str());
+}
+
+TEST(ShardRunner, WarmSupervisedSweepLaunchesNoWorker)
+{
+    // A store on the parent's evaluator, filled by an in-process
+    // sweep: the supervised rerun resolves every point in the parent
+    // and forks nothing, yet prints the same bytes.
+    const auto grid = referenceGrid();
+    const std::string storePath = tempPath("tlc_supervisor_warm.tlrs");
+    SweepResult clean;
+    {
+        MissRateEvaluator ev(evaluatorOptions(storePath));
+        Explorer ex(ev);
+        FailureReport report;
+        clean.points = ex.evaluateAll(Benchmark::Gcc1, grid, &report);
+        clean.failures = report.failures();
+    }
+    SweepResult warm = runSupervised(grid, testOptions(), storePath);
+    expectIdentical(clean, warm);
+    EXPECT_EQ(warm.stats.attempts, 0u);
+    EXPECT_EQ(warm.stats.shards, 0u);
+    std::remove(storePath.c_str());
+}
+
+TEST(ShardRunner, ShardsArePlannedPassesOfWholeL1Groups)
+{
+    // The paper's design space has L1 groups of 1 to 9 points; at 4
+    // points per shard every group larger than the bound is a shard
+    // of its own, and no shard splits a group.
+    SystemAssumptions a;
+    const std::vector<SystemConfig> space = DesignSpace::enumerate(a);
+    SweepResult clean = runInProcess(space);
+    SupervisorOptions opts = testOptions();
+    opts.pointsPerShard = 4;
+
+    MissRateEvaluator ev(evaluatorOptions());
+    Explorer ex(ev);
+    FailureReport report;
+    SupervisedSweep ss =
+        supervisedEvaluateAll(ex, Benchmark::Gcc1, space, &report, opts);
+    SweepResult sup;
+    sup.points = std::move(ss.points);
+    sup.failures = report.failures();
+    expectIdentical(clean, sup);
+
+    // The shards are the plan's passes, in order, and each holds
+    // every point of each L1 size it touches.
+    const std::vector<SweepBin> plan = planSweep(space, 1, 4);
+    ASSERT_EQ(plan.size(), 1u);
+    const std::vector<SweepPass> &passes = plan[0].passes;
+    ASSERT_EQ(ss.timeline.size(), passes.size());
+    EXPECT_EQ(ss.stats.shards, passes.size());
+    for (std::size_t k = 0; k < passes.size(); ++k) {
+        SCOPED_TRACE("shard " + std::to_string(k));
+        const std::vector<std::size_t> &idx = passes[k].indices;
+        EXPECT_EQ(ss.timeline[k].resolution, "ok");
+        EXPECT_EQ(ss.timeline[k].firstIndex, idx.front());
+        EXPECT_EQ(ss.timeline[k].count, idx.size());
+        EXPECT_TRUE(idx.size() <= 4 || passes[k].l1Groups == 1);
+        for (std::size_t i : idx) {
+            for (std::size_t j = 0; j < space.size(); ++j) {
+                if (space[j].l1Bytes != space[i].l1Bytes)
+                    continue;
+                EXPECT_TRUE(std::binary_search(idx.begin(), idx.end(), j))
+                    << j << " split from " << i;
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------

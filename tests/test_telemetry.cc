@@ -152,10 +152,10 @@ TEST(Telemetry, SupervisedRollupsEqualInProcessCounters)
     for (const auto *configs : {&grid, &salted}) {
         SCOPED_TRACE(configs == &grid ? "clean grid" : "salted grid");
         // One worker thread in process plans the whole list into one
-        // trace pass; the supervised sweep runs it as 32-point shards,
-        // one worker process and one batch each, whose counter deltas
-        // the supervisor must add up. Only the batch count tells the
-        // two executions apart.
+        // trace pass; the supervised sweep plans it into 32-point
+        // shards, one worker process and one batch each, whose counter
+        // deltas the supervisor must add up. Only the batch count
+        // tells the two executions apart.
         setParallelWorkerCount(1);
         MetricsRegistry::global().resetAll();
         RunOutput inproc = runInProcess(*configs);
@@ -167,9 +167,9 @@ TEST(Telemetry, SupervisedRollupsEqualInProcessCounters)
         setParallelWorkerCount(0);
 
         ASSERT_EQ(inproc.points.size(), sup.points.size());
-        // Two shards of valid configs; the salted grid's third shard
-        // holds only the invalid one and simulates nothing.
-        EXPECT_EQ(sup.stats.shards, configs == &grid ? 2u : 3u);
+        // Two shards of valid configs on both grids: the invalid
+        // config fails check() in the parent and needs no worker.
+        EXPECT_EQ(sup.stats.shards, 2u);
         EXPECT_EQ(reference["explore.batch.groups"], 1u);
         EXPECT_EQ(rollup["explore.batch.groups"], 2u);
         reference.erase("explore.batch.groups");
@@ -213,7 +213,8 @@ TEST(Telemetry, WorkerNamespacesAndPhaseStatsMerge)
     EXPECT_EQ(sup.stats.flightFrames, 2u);
 
     // Every attempt put its simulation counts under worker.<id>.*:
-    // 14 counters for each of this sweep's two workers. (Worker ids
+    // 13 counters for each of this sweep's two workers (the memo is
+    // the parent's, so its misses are not among them). (Worker ids
     // are unique per process, so earlier tests' namespaces, which
     // resetAll keeps registered, are not counted.)
     std::vector<std::string> prefixes;
@@ -234,7 +235,7 @@ TEST(Telemetry, WorkerNamespacesAndPhaseStatsMerge)
                 sawWorkerCacheHits = true;
         }
     }
-    EXPECT_EQ(namespaced, 28u);
+    EXPECT_EQ(namespaced, 26u);
     EXPECT_TRUE(sawWorkerCacheHits);
 
     // The workers' sim.batch time merged into the parent profiler.

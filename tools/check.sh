@@ -221,9 +221,10 @@ run_recovery() {
     }
 
     # SIGKILL the supervisor mid-sweep, then --resume against the
-    # store the workers were appending to: the finished run must be
+    # store it was appending to: the finished run must be
     # byte-identical. (If the first run wins the race and completes,
-    # the resume differential still has to hold.)
+    # the resume differential still has to hold.) Only the supervisor
+    # writes the store, so an orphaned worker has nothing to drain.
     build/examples/design_explorer --refs=50000 --quiet \
         --isolate=process --result-store="$rec_dir/sweep.tlrs" \
         > /dev/null 2>&1 &
@@ -231,12 +232,25 @@ run_recovery() {
     sleep 1
     kill -KILL "$victim" 2>/dev/null || true
     wait "$victim" 2>/dev/null || true
-    sleep 1   # let any orphaned worker drain its final append
     build/examples/design_explorer --refs=50000 --quiet \
         --isolate=process --result-store="$rec_dir/sweep.tlrs" \
         --resume > "$rec_dir/resumed.txt"
     cmp "$rec_dir/inproc.txt" "$rec_dir/resumed.txt" || {
         echo "--resume after SIGKILLed supervisor diverged" >&2
+        exit 1
+    }
+
+    # Now the store holds every point: a warm supervised rerun must
+    # answer all of them in the parent and fork no worker.
+    build/examples/design_explorer --refs=50000 --quiet \
+        --isolate=process --result-store="$rec_dir/sweep.tlrs" \
+        --resume --manifest="$rec_dir/warm.json" > "$rec_dir/warm.txt"
+    cmp "$rec_dir/inproc.txt" "$rec_dir/warm.txt" || {
+        echo "warm supervised rerun diverged" >&2
+        exit 1
+    }
+    grep -q '"worker_launches": 0,' "$rec_dir/warm.json" || {
+        echo "warm supervised rerun launched workers" >&2
         exit 1
     }
 
