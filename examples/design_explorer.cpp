@@ -95,10 +95,10 @@ main(int argc, char **argv)
     SupervisorOptions sopts;
     const bool isolate = supervisorOptionsFromArgs(args, &sopts);
 
-    // One store handle in either mode: supervised workers only simulate.
+    // One evaluator in either mode: supervised workers simulate its
+    // trace and the parent alone writes its store.
     EvaluatorOptions evopts;
     evopts.traceRefs = refs;
-    sopts.evaluator = evopts;
     if (!flags.resultStore.empty()) {
         evopts.resultStore = std::make_shared<SweepCache>();
         ResultStoreOptions ro;

@@ -202,7 +202,6 @@ main(int argc, char **argv)
         if (!s.ok())
             fatal("result store: %s", s.message().c_str());
     }
-    sopts.evaluator.traceRefs = refs;
     cli::TelemetrySession telemetry(flags);
 
     auto runStart = std::chrono::steady_clock::now();

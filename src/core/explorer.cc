@@ -382,31 +382,33 @@ Explorer::setProgressCallback(ProgressCallback cb,
         min_interval_seconds < 0.0 ? 0.0 : min_interval_seconds;
 }
 
+bool
+Explorer::preflightTrace(Benchmark b, FailureReport *report)
+{
+    // With a result store the preflight is skipped (a warm sweep must
+    // not load the trace); the collector collapses that failure to
+    // one entry instead.
+    if (evaluator_.hasResultStore())
+        return true;
+    Expected<const TraceBuffer *> t = evaluator_.tryTrace(b);
+    if (t.ok())
+        return true;
+    if (!report) {
+        fatal("benchmark '%s': %s", Workloads::info(b).name,
+              t.status().message().c_str());
+    }
+    report->add(std::string("benchmark ") + Workloads::info(b).name,
+                t.status());
+    return false;
+}
+
 std::vector<DesignPoint>
 Explorer::evaluateAll(Benchmark b, const std::vector<SystemConfig> &configs,
                       FailureReport *report)
 {
     std::vector<DesignPoint> out;
-    if (configs.empty())
+    if (configs.empty() || !preflightTrace(b, report))
         return out;
-
-    // An unloadable trace fails every point the same way: report the
-    // benchmark once, up front. With a result store the preflight is
-    // skipped (a warm sweep must not load the trace); the collector
-    // collapses that failure to one entry instead.
-    if (!evaluator_.hasResultStore()) {
-        Expected<const TraceBuffer *> t = evaluator_.tryTrace(b);
-        if (!t.ok()) {
-            if (!report) {
-                fatal("benchmark '%s': %s", Workloads::info(b).name,
-                      t.status().message().c_str());
-            }
-            report->add(std::string("benchmark ") +
-                            Workloads::info(b).name,
-                        t.status());
-            return out;
-        }
-    }
 
     SweepCollector collector(*this, b, configs, report);
     const MissResolution &pending = collector.resolve();

@@ -17,7 +17,8 @@
  * benchmark trace instead of once per design point. evaluateAll()
  * runs one bin per worker of the parallelFor team (util/parallel.hh,
  * TLC_THREADS or --threads control the width); supervisedEvaluateAll
- * (core/shard_runner.hh) runs each pass in a forked worker. Results are
+ * (core/shard_runner.hh) plans as many bins and runs each pass in a
+ * forked worker, one live worker per bin. Results are
  * deterministic: simulation lanes are fully independent, and the
  * output vector, the envelope, and the FailureReport are ordered by
  * input index regardless of the plan or worker completion order,
@@ -318,6 +319,16 @@ class Explorer
                              double min_interval_seconds = 0.25);
 
     MissRateEvaluator &evaluator() { return evaluator_; }
+
+    /**
+     * The preflight of every sweep executor: an unloadable trace
+     * fails every point the same way, so without a result store load
+     * @p b's trace up front, and when it cannot load report the
+     * benchmark once ("benchmark <name>"; fatal without @p report)
+     * and return false — the sweep then prices nothing. With a store
+     * it returns true untried.
+     */
+    bool preflightTrace(Benchmark b, FailureReport *report);
 
     /**
      * Assemble a DesignPoint from already-computed miss statistics:

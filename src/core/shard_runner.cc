@@ -13,13 +13,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <span>
 #include <sstream>
-#include <thread>
 
+#include <poll.h>
 #include <signal.h>
 #include <unistd.h>
 
@@ -27,7 +28,9 @@
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
+#include "util/parallel.hh"
 #include "util/profiler.hh"
+#include "util/telemetry_wire.hh"
 #include "util/trace_event.hh"
 #include "util/wire.hh"
 
@@ -85,15 +88,11 @@ std::atomic<std::uint32_t> gWorkerSerial{0};
 //   fail -> u32le StatusCode, u32le message length, message bytes
 // Done frame:   u8 tag=2, u32le result-frame count
 //
-// Telemetry frames (streamed after results, before Done; all string
-// fields are u32le length + bytes):
-// Metrics frame: u8 tag=3, u32le counter count, per counter
-//   (name, u64le value); u32le gauge count, per gauge (name, u64le
-//   IEEE-754 bit pattern of the double value)
-// Phases frame:  u8 tag=4, u32le phase count, per phase (name,
-//   u64le calls, u64le totalNs, u64le maxNs)
-// Events frame:  u8 tag=5, u32le event count, per event (u64le tsUs,
-//   u64le durUs, u32le tid, name, category, argsJson); chunked at
+// Telemetry frames, streamed after results and before Done (the
+// layouts after the tag are util/telemetry_wire.hh's):
+// Metrics frame: u8 tag=3, the worker's metrics-registry snapshot
+// Phases frame:  u8 tag=4, its profiler phase stats
+// Events frame:  u8 tag=5, its trace-event slices, chunked at
 //   kEventsPerFrame so a frame stays far below kMaxFrameBytes
 // Flight frame:  u8 tag=6, then the flight-recorder payload
 //   (util/flight_recorder.hh owns that layout; its first byte is
@@ -175,140 +174,6 @@ decodeResult(std::string_view payload, WireResult &out)
     return true;
 }
 
-/** The worker's metrics-registry snapshot as one frame payload.
- *  Values are absolute, but the worker reset its inherited registry
- *  on entry, so absolute *is* the per-attempt delta. */
-std::string
-encodeMetrics()
-{
-    auto &reg = MetricsRegistry::global();
-    const auto counters = reg.counterValues();
-    const auto gauges = reg.gaugeValues();
-    std::string out;
-    out.push_back(static_cast<char>(kTagMetrics));
-    putU32le(out, static_cast<std::uint32_t>(counters.size()));
-    for (const auto &[name, value] : counters) {
-        putString(out, name);
-        putU64le(out, value);
-    }
-    putU32le(out, static_cast<std::uint32_t>(gauges.size()));
-    for (const auto &[name, value] : gauges) {
-        putString(out, name);
-        std::uint64_t bits = 0;
-        static_assert(sizeof bits == sizeof value);
-        std::memcpy(&bits, &value, sizeof bits);
-        putU64le(out, bits);
-    }
-    return out;
-}
-
-struct WireMetrics
-{
-    std::vector<std::pair<std::string, std::uint64_t>> counters;
-    std::vector<std::pair<std::string, double>> gauges;
-};
-
-bool
-decodeMetrics(std::string_view payload, WireMetrics &out)
-{
-    WireReader r{payload, 1}; // past the tag byte
-    std::uint32_t n = 0;
-    if (!r.u32(n))
-        return false;
-    out.counters.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        std::string name;
-        std::uint64_t value = 0;
-        if (!r.str(name) || !r.u64(value))
-            return false;
-        out.counters.emplace_back(std::move(name), value);
-    }
-    if (!r.u32(n))
-        return false;
-    out.gauges.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        std::string name;
-        std::uint64_t bits = 0;
-        if (!r.str(name) || !r.u64(bits))
-            return false;
-        double value = 0.0;
-        std::memcpy(&value, &bits, sizeof value);
-        out.gauges.emplace_back(std::move(name), value);
-    }
-    return r.done();
-}
-
-std::string
-encodePhases()
-{
-    const auto phases = Profiler::global().snapshot();
-    std::string out;
-    out.push_back(static_cast<char>(kTagPhases));
-    putU32le(out, static_cast<std::uint32_t>(phases.size()));
-    for (const auto &[name, stats] : phases) {
-        putString(out, name);
-        putU64le(out, stats.calls);
-        putU64le(out, stats.totalNs);
-        putU64le(out, stats.maxNs);
-    }
-    return out;
-}
-
-bool
-decodePhases(std::string_view payload,
-             std::vector<std::pair<std::string, PhaseStats>> &out)
-{
-    WireReader r{payload, 1};
-    std::uint32_t n = 0;
-    if (!r.u32(n))
-        return false;
-    out.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        std::string name;
-        PhaseStats s;
-        if (!r.str(name) || !r.u64(s.calls) || !r.u64(s.totalNs) ||
-            !r.u64(s.maxNs))
-            return false;
-        out.emplace_back(std::move(name), s);
-    }
-    return r.done();
-}
-
-std::string
-encodeEvents(std::span<const TraceEvent> events)
-{
-    std::string out;
-    out.push_back(static_cast<char>(kTagEvents));
-    putU32le(out, static_cast<std::uint32_t>(events.size()));
-    for (const TraceEvent &e : events) {
-        putU64le(out, e.tsUs);
-        putU64le(out, e.durUs);
-        putU32le(out, e.tid);
-        putString(out, e.name);
-        putString(out, e.category);
-        putString(out, e.argsJson);
-    }
-    return out;
-}
-
-bool
-decodeEvents(std::string_view payload, std::vector<TraceEvent> &out)
-{
-    WireReader r{payload, 1};
-    std::uint32_t n = 0;
-    if (!r.u32(n))
-        return false;
-    out.reserve(out.size() + n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        TraceEvent e;
-        if (!r.u64(e.tsUs) || !r.u64(e.durUs) || !r.u32(e.tid) ||
-            !r.str(e.name) || !r.str(e.category) || !r.str(e.argsJson))
-            return false;
-        out.push_back(std::move(e));
-    }
-    return r.done();
-}
-
 // -----------------------------------------------------------------
 // Worker side (runs in the forked child)
 // -----------------------------------------------------------------
@@ -324,20 +189,21 @@ hangForever()
 }
 
 /**
- * The forked worker: arm the flight recorder, rebuild the evaluator
- * in this process, simulate the shard's configurations in one trace
- * pass (no memo, no store), report each result as one frame, stream
- * telemetry (metrics deltas, phase stats, trace slices, flight
- * ring), and finish with a Done frame. Injected Crash/Hang faults
- * fire while *reporting* the poisoned point — after the flight
- * recorder has seen its label — so the emergency frame names the
- * exact design point a quarantine can blame.
+ * The forked worker: arm the flight recorder, simulate the shard's
+ * configurations in one pass over the trace the parent loaded before
+ * forking (inherited copy on write, so nothing is read again; no
+ * memo, no store), report each result as one frame, stream telemetry
+ * (metrics deltas, phase stats, trace slices, flight ring), and
+ * finish with a Done frame. Injected Crash/Hang faults fire while
+ * *reporting* the poisoned point — after the flight recorder has
+ * seen its label — so the emergency frame names the exact design
+ * point a quarantine can blame.
  */
 void
-runShardWorker(int write_fd, Benchmark b,
+runShardWorker(int write_fd, MissRateEvaluator &ev, Benchmark b,
                const std::vector<SystemConfig> &configs,
                const std::vector<std::uint32_t> &shard,
-               const SupervisorOptions &opts, const ShardFault &fault)
+               const ShardFault &fault)
 {
     FlightRecorder &fr = FlightRecorder::global();
     fr.reset();
@@ -374,9 +240,6 @@ runShardWorker(int write_fd, Benchmark b,
         return rec ? TraceEventRecorder::Clock::now()
                    : TraceEventRecorder::Clock::time_point{};
     };
-
-    // The parent resolves and remembers, so the worker only simulates.
-    MissRateEvaluator ev(opts.evaluator);
 
     std::vector<SystemConfig> shardConfigs;
     shardConfigs.reserve(shard.size());
@@ -437,9 +300,9 @@ runShardWorker(int write_fd, Benchmark b,
     fr.setPhase("telemetry");
     if (rec)
         TraceEventRecorder::setActive(nullptr);
-    if (!writeFrame(write_fd, encodeMetrics()).ok())
+    if (!writeFrame(write_fd, encodeMetricsFrame(kTagMetrics)).ok())
         _exit(4);
-    if (!writeFrame(write_fd, encodePhases()).ok())
+    if (!writeFrame(write_fd, encodePhasesFrame(kTagPhases)).ok())
         _exit(4);
     if (rec) {
         const std::vector<TraceEvent> events = rec->snapshot();
@@ -448,8 +311,9 @@ runShardWorker(int write_fd, Benchmark b,
             const std::size_t hi =
                 std::min(lo + kEventsPerFrame, events.size());
             if (!writeFrame(write_fd,
-                            encodeEvents(std::span<const TraceEvent>(
-                                events.data() + lo, hi - lo)))
+                            encodeEventsFrame(
+                                kTagEvents, std::span<const TraceEvent>(
+                                                events.data() + lo, hi - lo)))
                      .ok())
                 _exit(4);
         }
@@ -466,21 +330,29 @@ runShardWorker(int write_fd, Benchmark b,
 // -----------------------------------------------------------------
 
 /**
- * The retry/bisect/quarantine state machine of one supervised sweep:
- * each planned pass is a shard of lanes, named by their first
- * design-point index, and each result frame or quarantine is recorded
- * in the collector as it arrives.
+ * The retry/bisect/quarantine state machine of one supervised sweep,
+ * on one thread. The plan's bins run side by side, one forked worker
+ * each, under one poll() loop. A bin works through a queue of shards
+ * (its planned passes, with the halves of a bisected one pushed to
+ * the front), and a retry waits out its backoff as a not-before time
+ * instead of a sleep, so a bin in backoff or stuck on a hung worker
+ * never holds back the others. Each shard is named by its first
+ * design-point index, and each result frame or quarantine is
+ * recorded in the collector as it arrives.
  */
 class ShardSupervisor
 {
   public:
-    ShardSupervisor(Benchmark b, const std::vector<SystemConfig> &configs,
+    using Clock = WorkerProcess::Clock;
+
+    ShardSupervisor(MissRateEvaluator &ev, Benchmark b,
+                    const std::vector<SystemConfig> &configs,
                     const SupervisorOptions &opts,
                     SweepCollector &collector)
-        : bench_(b), configs_(configs), opts_(opts),
+        : ev_(ev), bench_(b), configs_(configs), opts_(opts),
           collector_(collector),
           faultFired_(opts.faults.faults.size(), 0),
-          start_(std::chrono::steady_clock::now())
+          start_(Clock::now())
     {
     }
 
@@ -488,18 +360,41 @@ class ShardSupervisor
     {
         ShardMetrics::get().sweeps.inc();
         const MissResolution &pending = collector_.resolve();
+        if (pending.lanes.empty())
+            return;
+        // Workers simulate the parent's own trace, inherited copy on
+        // write: load it once, before the first fork. A trace that
+        // cannot load fails every lane here, and nothing forks.
+        const Expected<const TraceBuffer *> trace = ev_.tryTrace(bench_);
+        if (!trace.ok()) {
+            for (std::size_t lane = 0; lane < pending.lanes.size(); ++lane)
+                collector_.recordLane(lane, trace.status());
+            return;
+        }
         laneOf_.assign(configs_.size(), kNoLane);
         for (std::size_t lane = 0; lane < pending.lanes.size(); ++lane)
             laneOf_[pending.slots[lane].front()] = lane;
-        // One worker: one bin, its passes run one after another.
-        const std::vector<SweepBin> plan = planSweep(
-            pending.lanes, 1, std::max<std::size_t>(1, opts_.pointsPerShard));
-        for (const SweepPass &pass : plan.front().passes) {
-            std::vector<std::uint32_t> shard;
-            for (std::size_t lane : pass.indices)
-                shard.push_back(static_cast<std::uint32_t>(
-                    pending.slots[lane].front()));
-            resolve(shard);
+        const std::vector<SweepBin> plan =
+            planSweep(pending.lanes, parallelWorkerCount(),
+                      std::max<std::size_t>(1, opts_.pointsPerShard));
+        bins_ = std::vector<Bin>(plan.size());
+        for (std::size_t bi = 0; bi < plan.size(); ++bi) {
+            for (const SweepPass &pass : plan[bi].passes) {
+                Job job;
+                for (std::size_t lane : pass.indices)
+                    job.pending.push_back(static_cast<std::uint32_t>(
+                        pending.slots[lane].front()));
+                bins_[bi].queue.push_back(std::move(job));
+            }
+        }
+        while (pollOnce()) {
+        }
+        // Plan order: bin, then pass, a bisected shard before its
+        // halves — whichever bin finished first.
+        for (Bin &bin : bins_) {
+            timeline_.insert(timeline_.end(),
+                             std::make_move_iterator(bin.timeline.begin()),
+                             std::make_move_iterator(bin.timeline.end()));
         }
     }
 
@@ -507,6 +402,75 @@ class ShardSupervisor
     std::vector<ShardTimeline> &timeline() { return timeline_; }
 
   private:
+    /** A shard waiting in, or running from, the front of its bin's
+     *  queue. */
+    struct Job
+    {
+        std::vector<std::uint32_t> pending; ///< indices not yet recorded
+        std::size_t timeline = 0; ///< its bin's entry, once launched
+        int attempt = 0;          ///< attempts so far
+        Clock::time_point notBefore{}; ///< end of the retry backoff
+    };
+
+    /** One worker launch and what its frames have said so far. */
+    struct Attempt
+    {
+        WorkerProcess worker;
+        ShardAttempt rec;
+        std::uint32_t first = 0, end = 0; ///< the shard it runs
+        int number = 0;                   ///< 0-based attempt
+        bool doneSeen = false;
+        bool badFrame = false;
+        std::optional<FlightInfo> flight;
+        TraceEventRecorder::Clock::time_point begin;
+    };
+
+    /** One planned bin: its shard queue and running attempt. */
+    struct Bin
+    {
+        std::deque<Job> queue;
+        std::unique_ptr<Attempt> running; ///< runs queue.front()
+        std::vector<ShardTimeline> timeline;
+    };
+
+    /**
+     * Launch what may start, wait for input or the nearest deadline
+     * (watchdog, kill grace or backoff), and conclude every attempt
+     * that ended. False once every bin is empty.
+     */
+    bool pollOnce()
+    {
+        const Clock::time_point now = Clock::now();
+        Clock::time_point wake = Clock::time_point::max();
+        std::vector<struct pollfd> fds;
+        bool busy = false;
+        for (Bin &bin : bins_) {
+            if (!bin.running && !bin.queue.empty() &&
+                bin.queue.front().notBefore <= now)
+                launch(bin);
+            if (bin.running) {
+                fds.push_back({bin.running->worker.fd(), POLLIN, 0});
+                wake = std::min(wake, bin.running->worker.deadline());
+            } else if (!bin.queue.empty()) {
+                wake = std::min(wake, bin.queue.front().notBefore);
+            }
+            busy = busy || !bin.queue.empty();
+        }
+        if (!busy)
+            return false;
+        // EINTR, input or a deadline: each step() sorts out its own.
+        (void)poll(fds.data(), fds.size(), pollTimeoutMs(wake));
+        for (std::size_t bi = 0; bi < bins_.size(); ++bi) {
+            Bin &bin = bins_[bi];
+            if (bin.running &&
+                bin.running->worker.step([&](std::string_view payload) {
+                    onFrame(*bin.running, payload);
+                }))
+                conclude(bin, bi);
+        }
+        return true;
+    }
+
     /** The armed fault of @p shard, if any (None kind otherwise). */
     ShardFault armFault(const std::vector<std::uint32_t> &shard)
     {
@@ -525,157 +489,155 @@ class ShardSupervisor
         return ShardFault{};
     }
 
-    /** Fold one streamed counter delta into the global registry:
-     *  once under the worker's namespace, once as the rollup. A
-     *  name the parent already registered as a different kind is
-     *  skipped (counter() would panic on the mismatch). */
-    void mergeCounter(std::uint32_t worker_id, const std::string &name,
-                      std::uint64_t delta)
+    /** Fork a worker over the front shard of @p bin; a shard's first
+     *  launch enters it in the bin's timeline. */
+    void launch(Bin &bin)
     {
-        if (delta == 0)
-            return;
-        auto &reg = MetricsRegistry::global();
-        const auto kind = reg.kindOf(name);
-        if (!kind.has_value() || *kind == MetricKind::Counter)
-            reg.counter(name).inc(delta);
-        reg.counter("worker." + std::to_string(worker_id) + "." + name)
-            .inc(delta);
+        Job &job = bin.queue.front();
+        if (job.attempt == 0) {
+            ++stats_.shards;
+            ShardMetrics::get().shards.inc();
+            job.timeline = bin.timeline.size();
+            ShardTimeline tl;
+            tl.firstIndex = job.pending.front();
+            tl.count = static_cast<std::uint32_t>(job.pending.size());
+            bin.timeline.push_back(std::move(tl));
+        }
+        ++stats_.attempts;
+        bin.running = std::make_unique<Attempt>();
+        Attempt &at = *bin.running;
+        at.rec.workerId = ++gWorkerSerial;
+        at.rec.startSeconds = elapsedSeconds();
+        at.first = job.pending.front();
+        at.end = job.pending.back() + 1;
+        at.number = job.attempt;
+        at.begin = TraceEventRecorder::Clock::now();
+        const ShardFault fault = armFault(job.pending);
+        at.worker.start(
+            [&](int fd) {
+                runShardWorker(fd, ev_, bench_, configs_, job.pending,
+                               fault);
+            },
+            opts_.watchdog);
     }
 
     /**
-     * One worker launch over @p shard. Results from intact frames
-     * are kept even when the attempt as a whole fails — a crash
-     * after reporting 30 of 32 points leaves only 2 to re-run —
-     * and so is the telemetry that made it out: metric deltas roll
-     * up, phase stats merge, trace slices land under this attempt's
-     * pid, and the flight frame (if any) is kept in @p rec for the
-     * timeline and the quarantine log.
+     * One frame of @p at's worker. Results from intact frames are
+     * kept even when the attempt as a whole fails — a crash after
+     * reporting 30 of 32 points leaves only 2 to re-run — and so is
+     * the telemetry that made it out: metric deltas roll up, phase
+     * stats merge, trace slices land under this attempt's pid, and
+     * the flight frame (if any) is kept for the timeline and the
+     * quarantine log.
      */
-    WorkerOutcome attempt(const std::vector<std::uint32_t> &shard,
-                          int attempt_no, ShardAttempt &rec)
+    void onFrame(Attempt &at, std::string_view payload)
     {
-        ScopedTimer t(phase::kSupervisorShard);
-        ++stats_.attempts;
-        const ShardFault fault = armFault(shard);
-        const std::uint32_t workerId = ++gWorkerSerial;
-        rec.workerId = workerId;
+        const std::uint32_t workerId = at.rec.workerId;
+        if (payload.empty()) {
+            at.badFrame = true;
+            return;
+        }
+        switch (static_cast<std::uint8_t>(payload[0])) {
+        case kTagDone:
+            at.doneSeen = payload.size() == 5;
+            at.badFrame = at.badFrame || payload.size() != 5;
+            return;
+        case kTagResult: {
+            WireResult wr;
+            if (!decodeResult(payload, wr) || wr.index >= configs_.size() ||
+                laneOf_[wr.index] == kNoLane) {
+                at.badFrame = true;
+                return;
+            }
+            if (!collector_.has(wr.index))
+                collector_.recordLane(laneOf_[wr.index], *wr.result);
+            ++at.rec.resultsDelivered;
+            return;
+        }
+        case kTagMetrics:
+            // Rolled up, and under the worker's own namespace.
+            if (!mergeMetricsFrame(payload, "worker." +
+                                                std::to_string(workerId) +
+                                                ".")) {
+                at.badFrame = true;
+                return;
+            }
+            ++stats_.metricFrames;
+            ShardMetrics::get().metricFrames.inc();
+            return;
+        case kTagPhases:
+            if (!mergePhasesFrame(payload)) {
+                at.badFrame = true;
+                return;
+            }
+            ++stats_.phaseFrames;
+            ShardMetrics::get().phaseFrames.inc();
+            return;
+        case kTagEvents: {
+            std::vector<TraceEvent> events;
+            if (!decodeEventsFrame(payload, events)) {
+                at.badFrame = true;
+                return;
+            }
+            ++stats_.eventFrames;
+            ShardMetrics::get().eventFrames.inc();
+            if (TraceEventRecorder *r = TraceEventRecorder::active()) {
+                char name[96];
+                std::snprintf(name, sizeof name,
+                              "worker %u: shard [%u..%u) attempt %d",
+                              workerId, at.first, at.end, at.number + 1);
+                r->import(events, workerId + 1, name);
+            }
+            return;
+        }
+        case kTagFlight: {
+            FlightInfo info;
+            if (!FlightRecorder::decodePayload(payload, kTagFlight, info)) {
+                at.badFrame = true;
+                return;
+            }
+            ++stats_.flightFrames;
+            ShardMetrics::get().flightFrames.inc();
+            at.flight = std::move(info);
+            return;
+        }
+        default:
+            at.badFrame = true;
+        }
+    }
 
-        bool doneSeen = false;
-        bool badFrame = false;
-        std::optional<FlightInfo> flight;
-        auto onFrame = [&](std::string_view payload) {
-            if (payload.empty()) {
-                badFrame = true;
-                return;
-            }
-            switch (static_cast<std::uint8_t>(payload[0])) {
-            case kTagDone:
-                doneSeen = payload.size() == 5;
-                badFrame = badFrame || payload.size() != 5;
-                return;
-            case kTagResult: {
-                WireResult wr;
-                if (!decodeResult(payload, wr) ||
-                    wr.index >= configs_.size() ||
-                    laneOf_[wr.index] == kNoLane) {
-                    badFrame = true;
-                    return;
-                }
-                if (!collector_.has(wr.index))
-                    collector_.recordLane(laneOf_[wr.index], *wr.result);
-                ++rec.resultsDelivered;
-                return;
-            }
-            case kTagMetrics: {
-                WireMetrics wm;
-                if (!decodeMetrics(payload, wm)) {
-                    badFrame = true;
-                    return;
-                }
-                ++stats_.metricFrames;
-                ShardMetrics::get().metricFrames.inc();
-                for (const auto &[name, delta] : wm.counters)
-                    mergeCounter(workerId, name, delta);
-                auto &reg = MetricsRegistry::global();
-                for (const auto &[name, value] : wm.gauges) {
-                    reg.gauge("worker." + std::to_string(workerId) +
-                              "." + name)
-                        .set(value);
-                }
-                return;
-            }
-            case kTagPhases: {
-                std::vector<std::pair<std::string, PhaseStats>> ph;
-                if (!decodePhases(payload, ph)) {
-                    badFrame = true;
-                    return;
-                }
-                ++stats_.phaseFrames;
-                ShardMetrics::get().phaseFrames.inc();
-                for (const auto &[name, s] : ph)
-                    Profiler::global().merge(name, s);
-                return;
-            }
-            case kTagEvents: {
-                std::vector<TraceEvent> events;
-                if (!decodeEvents(payload, events)) {
-                    badFrame = true;
-                    return;
-                }
-                ++stats_.eventFrames;
-                ShardMetrics::get().eventFrames.inc();
-                if (TraceEventRecorder *r =
-                        TraceEventRecorder::active()) {
-                    char name[96];
-                    std::snprintf(
-                        name, sizeof name,
-                        "worker %u: shard [%u..%u) attempt %d",
-                        workerId, shard.front(), shard.back() + 1,
-                        attempt_no + 1);
-                    r->import(events, workerId + 1, name);
-                }
-                return;
-            }
-            case kTagFlight: {
-                FlightInfo info;
-                if (!FlightRecorder::decodePayload(payload, kTagFlight,
-                                                   info)) {
-                    badFrame = true;
-                    return;
-                }
-                ++stats_.flightFrames;
-                ShardMetrics::get().flightFrames.inc();
-                flight = std::move(info);
-                return;
-            }
-            default:
-                badFrame = true;
-            }
-        };
-
-        const auto attemptBegin =
-            TraceEventRecorder::Clock::now();
-        WorkerOutcome outcome = superviseWorker(
-            [&](int fd) {
-                runShardWorker(fd, bench_, configs_, shard, opts_,
-                               fault);
-            },
-            opts_.watchdog, onFrame);
+    /**
+     * The attempt of @p bin (number @p bi) has ended: file it in the
+     * timeline, then finish its shard, schedule the retry after the
+     * backoff, or give up on what is left.
+     */
+    void conclude(Bin &bin, std::size_t bi)
+    {
+        const std::unique_ptr<Attempt> at = std::move(bin.running);
+        Job &job = bin.queue.front();
+        WorkerOutcome outcome = at->worker.outcome();
+        ShardAttempt &rec = at->rec;
+        rec.durationSeconds = elapsedSeconds() - rec.startSeconds;
+        if (Profiler::global().enabled()) {
+            Profiler::global().record(
+                phase::kSupervisorShard,
+                static_cast<std::uint64_t>(rec.durationSeconds * 1e9));
+        }
         if (TraceEventRecorder *r = TraceEventRecorder::active()) {
             char name[96];
-            std::snprintf(name, sizeof name,
-                          "shard [%u..%u) worker %u: %s",
-                          shard.front(), shard.back() + 1, workerId,
+            std::snprintf(name, sizeof name, "shard [%u..%u) worker %u: %s",
+                          at->first, at->end, rec.workerId,
                           workerOutcomeKindName(outcome.kind));
-            r->complete(name, "supervisor", attemptBegin,
-                        TraceEventRecorder::Clock::now(), 0);
+            r->complete(name, "supervisor", at->begin,
+                        TraceEventRecorder::Clock::now(),
+                        static_cast<std::uint32_t>(bi));
         }
 
-        if (outcome.ok() && (badFrame || !doneSeen)) {
+        if (outcome.ok() && (at->badFrame || !at->doneSeen)) {
             // The pipe closed cleanly but the conversation did not
             // finish — treat like any other protocol violation.
             outcome.kind = WorkerOutcome::Kind::Protocol;
-            outcome.detail = badFrame
+            outcome.detail = at->badFrame
                                  ? "worker sent a malformed frame"
                                  : "worker exited without a Done frame";
         }
@@ -698,15 +660,44 @@ class ShardSupervisor
         }
         rec.outcome = workerOutcomeKindName(outcome.kind);
         rec.detail = outcome.detail;
-        if (flight.has_value()) {
-            rec.flightReason =
-                FlightRecorder::reasonName(flight->reason);
-            rec.flightPoint = flight->point;
-            rec.flightPhase = flight->phase;
-            if (!outcome.ok())
-                lastFailedFlight_ = std::move(flight);
+        if (at->flight.has_value()) {
+            rec.flightReason = FlightRecorder::reasonName(at->flight->reason);
+            rec.flightPoint = at->flight->point;
+            rec.flightPhase = at->flight->phase;
         }
-        return outcome;
+        ShardTimeline &tl = bin.timeline[job.timeline];
+        tl.attempts.push_back(std::move(rec));
+
+        job.pending = unresolvedOf(job.pending);
+        if (job.pending.empty()) {
+            tl.resolution = "ok";
+            bin.queue.pop_front();
+            return;
+        }
+        if (job.attempt == std::max(0, opts_.retry.maxRetries)) {
+            tl.resolution =
+                job.pending.size() == 1 ? "quarantined" : "bisected";
+            const std::vector<std::uint32_t> rest = std::move(job.pending);
+            bin.queue.pop_front();
+            giveUp(bin, rest, outcome, at->flight);
+            return;
+        }
+        ++stats_.retries;
+        ShardMetrics::get().retries.inc();
+        const double wait =
+            opts_.retry.backoffSeconds(job.attempt, tl.firstIndex);
+        ++stats_.backoffWaits;
+        ShardMetrics::get().backoffWaits.inc();
+        stats_.backoffSeconds += wait;
+        tl.attempts.back().backoffSeconds = wait;
+        if (Profiler::global().enabled()) {
+            Profiler::global().record(phase::kSupervisorBackoff,
+                                      static_cast<std::uint64_t>(wait * 1e9));
+        }
+        job.notBefore =
+            Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                               std::chrono::duration<double>(wait));
+        ++job.attempt;
     }
 
     std::vector<std::uint32_t>
@@ -721,64 +712,15 @@ class ShardSupervisor
 
     double elapsedSeconds() const
     {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - start_)
-            .count();
+        return std::chrono::duration<double>(Clock::now() - start_).count();
     }
 
-    /** Resolve every index of @p shard: retry, bisect, quarantine. */
-    void resolve(const std::vector<std::uint32_t> &shard)
-    {
-        ++stats_.shards;
-        ShardMetrics::get().shards.inc();
-        const std::size_t tlIndex = timeline_.size();
-        {
-            ShardTimeline tl;
-            tl.firstIndex = shard.front();
-            tl.count = static_cast<std::uint32_t>(shard.size());
-            timeline_.push_back(std::move(tl));
-        }
-
-        std::vector<std::uint32_t> pending = shard;
-        const std::uint64_t backoffKey = shard.front();
-        const int maxAttempts =
-            1 + std::max(0, opts_.retry.maxRetries);
-        for (int a = 0; a < maxAttempts; ++a) {
-            ShardAttempt rec;
-            rec.startSeconds = elapsedSeconds();
-            WorkerOutcome outcome = attempt(pending, a, rec);
-            rec.durationSeconds = elapsedSeconds() - rec.startSeconds;
-            timeline_[tlIndex].attempts.push_back(std::move(rec));
-            pending = unresolvedOf(pending);
-            if (pending.empty()) {
-                timeline_[tlIndex].resolution = "ok";
-                return;
-            }
-            if (a + 1 == maxAttempts) {
-                timeline_[tlIndex].resolution =
-                    pending.size() == 1 ? "quarantined" : "bisected";
-                giveUp(pending, outcome);
-                return;
-            }
-            ++stats_.retries;
-            ShardMetrics::get().retries.inc();
-            const double wait =
-                opts_.retry.backoffSeconds(a, backoffKey);
-            ++stats_.backoffWaits;
-            ShardMetrics::get().backoffWaits.inc();
-            stats_.backoffSeconds += wait;
-            timeline_[tlIndex].attempts.back().backoffSeconds = wait;
-            {
-                ScopedTimer t(phase::kSupervisorBackoff);
-                std::this_thread::sleep_for(
-                    std::chrono::duration<double>(wait));
-            }
-        }
-    }
-
-    /** Out of retries: split and recurse, or quarantine the point. */
-    void giveUp(const std::vector<std::uint32_t> &pending,
-                const WorkerOutcome &outcome)
+    /** Out of retries: quarantine the point, or split the shard and
+     *  queue both halves next in @p bin. @p flight is the last
+     *  attempt's flight frame, if it sent one. */
+    void giveUp(Bin &bin, const std::vector<std::uint32_t> &pending,
+                const WorkerOutcome &outcome,
+                const std::optional<FlightInfo> &flight)
     {
         if (pending.size() == 1) {
             const std::uint32_t idx = pending.front();
@@ -788,21 +730,18 @@ class ShardSupervisor
                 outcome.kind == WorkerOutcome::Kind::Timeout
                     ? StatusCode::WorkerTimeout
                     : StatusCode::WorkerCrash;
-            // The flight recorder of the last failed attempt says
-            // what the worker was doing when it died; put that in
-            // the quarantine entry so the report explains *why*,
-            // not just which point.
+            // The flight recorder says what the worker was doing
+            // when it died; put that in the quarantine entry so the
+            // report explains *why*, not just which point.
             std::string flightCtx;
-            if (lastFailedFlight_.has_value() &&
-                (!lastFailedFlight_->point.empty() ||
-                 !lastFailedFlight_->phase.empty())) {
+            if (flight.has_value() &&
+                (!flight->point.empty() || !flight->phase.empty())) {
                 flightCtx = "; flight recorder (";
-                flightCtx += FlightRecorder::reasonName(
-                    lastFailedFlight_->reason);
+                flightCtx += FlightRecorder::reasonName(flight->reason);
                 flightCtx += "): last point '";
-                flightCtx += lastFailedFlight_->point;
+                flightCtx += flight->point;
                 flightCtx += "' in phase '";
-                flightCtx += lastFailedFlight_->phase;
+                flightCtx += flight->phase;
                 flightCtx += "'";
             }
             collector_.recordLane(
@@ -814,8 +753,8 @@ class ShardSupervisor
                         1 + std::max(0, opts_.retry.maxRetries),
                         flightCtx.c_str()));
             warn("supervisor: quarantined design point %s (%s%s)",
-                 configs_[idx].label().c_str(),
-                 outcome.detail.c_str(), flightCtx.c_str());
+                 configs_[idx].label().c_str(), outcome.detail.c_str(),
+                 flightCtx.c_str());
             return;
         }
         // The shard keeps killing workers and we cannot tell which
@@ -824,24 +763,26 @@ class ShardSupervisor
         ++stats_.bisections;
         ShardMetrics::get().bisections.inc();
         const std::size_t mid = pending.size() / 2;
-        resolve(std::vector<std::uint32_t>(pending.begin(),
-                                           pending.begin() + mid));
-        resolve(std::vector<std::uint32_t>(pending.begin() + mid,
-                                           pending.end()));
+        Job lo, hi;
+        lo.pending.assign(pending.begin(), pending.begin() + mid);
+        hi.pending.assign(pending.begin() + mid, pending.end());
+        bin.queue.push_front(std::move(hi));
+        bin.queue.push_front(std::move(lo));
     }
 
     static constexpr std::size_t kNoLane = ~std::size_t{0};
 
+    MissRateEvaluator &ev_;
     Benchmark bench_;
     const std::vector<SystemConfig> &configs_;
     const SupervisorOptions &opts_;
     SweepCollector &collector_;
     std::vector<std::size_t> laneOf_; ///< first index -> pending lane
+    std::vector<Bin> bins_;
     SupervisionStats stats_;
     std::vector<ShardTimeline> timeline_;
     std::vector<int> faultFired_;
-    std::optional<FlightInfo> lastFailedFlight_;
-    std::chrono::steady_clock::time_point start_;
+    Clock::time_point start_;
 };
 
 } // namespace
@@ -856,11 +797,11 @@ supervisedEvaluateAll(Explorer &ex, Benchmark b,
                "supervisedEvaluateAll requires a FailureReport: "
                "process isolation exists to keep going fail-soft");
     SupervisedSweep out;
-    if (configs.empty())
+    if (configs.empty() || !ex.preflightTrace(b, report))
         return out;
 
     SweepCollector collector(ex, b, configs, report);
-    ShardSupervisor sup(b, configs, opts, collector);
+    ShardSupervisor sup(ex.evaluator(), b, configs, opts, collector);
     sup.run();
     out.stats = sup.stats();
     out.timeline = std::move(sup.timeline());

@@ -9,19 +9,26 @@
  * a simulation lane, one pathological configuration that loops
  * forever, and the whole multi-hour sweep dies. This layer trades a
  * fork() per shard for blast-radius containment. The pipeline is
- * Explorer::evaluateAll's (SweepCollector, planSweep); a shard is one
- * planned pass of at most pointsPerShard configs of whole L1 groups:
+ * Explorer::evaluateAll's (SweepCollector, planSweep): the parent
+ * resolves what its memo and store answer, loads the trace once, and
+ * plans the rest into one bin per worker (parallelWorkerCount(), the
+ * same --threads/TLC_THREADS width as in process). A shard is one
+ * planned pass of at most pointsPerShard configs of whole L1 groups.
+ * Each bin runs its shards one after another, each in a forked worker
+ * that simulates the trace it inherited copy on write; the bins run
+ * side by side, all driven by one poll() loop on the calling thread:
  *
- *   run ──▶ worker simulates a shard out of process
- *    │          │ crash / hang / torn stream
- *    ▼          ▼
- *   ok      retry (bounded, deterministic backoff with jitter)
- *    │          │ still failing
- *    │          ▼
- *    │      bisect the shard, recurse on each half
- *    │          │ a single point still fails
- *    ▼          ▼
- *   price   quarantine that point into the FailureReport
+ *   bin: next shard ──▶ worker simulates it out of process
+ *    │                      │ crash / hang / torn stream
+ *    ▼                      ▼
+ *   ok                  retry once its backoff ends (the loop serves
+ *    │                      │ the other bins meanwhile)
+ *    │                      │ still failing
+ *    │                      ▼
+ *    │                  bisect; both halves run next in the bin
+ *    │                      │ a single point still fails
+ *    ▼                      ▼
+ *   price               quarantine that point into the FailureReport
  *
  * Healthy points are completely unaffected: workers return bit-exact
  * HierarchyStats over a CRC-framed pipe (util/supervisor.hh), the
@@ -41,15 +48,16 @@
  * differential tests, tools/check.sh's recovery step, and the
  * --inject-* flags on design_explorer/figure_runner.
  *
- * Observability: shard attempts run under the "supervisor.shard"
- * profiler phase, backoff sleeps under "supervisor.backoff", and
+ * Observability: shard attempts count under the "supervisor.shard"
+ * profiler phase, backoff waits under "supervisor.backoff", and
  * sweeps tick supervisor.{sweeps,shards,retries,bisections,
  * quarantined,backoff_waits} next to the per-worker
  * supervisor.worker.* counters.
  *
  * Cross-process telemetry (docs/observability.md): before its Done
  * frame a worker streams its metrics-registry deltas, profiler phase
- * stats and trace-event slices back over the same frame pipe. The
+ * stats and trace-event slices back over the same frame pipe
+ * (payloads in util/telemetry_wire.hh). The
  * parent folds counters into the global registry twice — once under
  * the worker's own "worker.<id>." namespace and once into the plain
  * name as an aggregated rollup — merges phases into the global
@@ -119,8 +127,9 @@ struct SupervisorOptions
     WatchdogSpec watchdog;
     /** Retry budget and backoff pacing per shard. */
     RetryPolicy retry;
-    /** Evaluator settings workers rebuild in their own process
-     *  (trace length, warmup, trace files); they only simulate. */
+    /** No longer read: workers simulate the parent evaluator's own
+     *  trace, inherited across fork. Kept until the callers that
+     *  still set it stop doing so. */
     EvaluatorOptions evaluator;
     /** Deterministic fault injection (tests and recovery drills). */
     ShardFaultPlan faults;
@@ -183,8 +192,9 @@ struct SupervisedSweep
 {
     std::vector<DesignPoint> points;
     SupervisionStats stats;
-    /** Per-shard attempt history, in resolution order (a bisected
-     *  shard appears before its halves). */
+    /** Per-shard attempt history in plan order: bin after bin, each
+     *  bin's shards in the order they ran (a bisected shard appears
+     *  just before its halves). */
     std::vector<ShardTimeline> timeline;
 };
 
@@ -200,7 +210,10 @@ supervisorTimelinesJson(const SupervisionStats &stats,
 
 /**
  * Price @p configs on @p b like Explorer::evaluateAll, but simulate
- * every shard in a forked worker subprocess under @p opts. Failed
+ * every shard in a forked worker subprocess under @p opts, up to
+ * parallelWorkerCount() of them at once (one, inside a parallelFor
+ * body). A trace that cannot load is reported as evaluateAll reports
+ * it, and no worker is forked. Failed
  * points land in @p report exactly as the in-process engine would
  * record them, plus quarantined points (repeated worker death) as
  * WorkerCrash/WorkerTimeout entries. Progress goes to @p ex's

@@ -6,12 +6,15 @@
 
 #include "supervisor.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <limits>
 
+#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -51,12 +54,15 @@ struct WorkerMetrics
     }
 };
 
-double
-nowSeconds()
+/** Now plus @p seconds, saturating at time_point::max(). */
+WorkerProcess::Clock::time_point
+after(double seconds)
 {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
+    using Clock = WorkerProcess::Clock;
+    if (seconds >= 1e9)
+        return Clock::time_point::max();
+    return Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                              std::chrono::duration<double>(seconds));
 }
 
 /**
@@ -67,31 +73,17 @@ nowSeconds()
 bool
 reapWithGrace(pid_t pid, double grace_seconds, int *wstatus)
 {
-    const double deadline = nowSeconds() + grace_seconds;
+    const auto deadline = after(grace_seconds);
     for (;;) {
         pid_t r = waitpid(pid, wstatus, WNOHANG);
         if (r == pid)
             return true;
         if (r < 0 && errno != EINTR)
             return false;
-        if (nowSeconds() >= deadline)
+        if (WorkerProcess::Clock::now() >= deadline)
             return false;
         usleep(2000);
     }
-}
-
-/** SIGTERM, grace, then SIGKILL and a blocking reap. */
-int
-killAndReap(pid_t pid, double grace_seconds)
-{
-    int wstatus = 0;
-    kill(pid, SIGTERM);
-    if (!reapWithGrace(pid, grace_seconds, &wstatus)) {
-        kill(pid, SIGKILL);
-        while (waitpid(pid, &wstatus, 0) < 0 && errno == EINTR) {
-        }
-    }
-    return wstatus;
 }
 
 /**
@@ -230,28 +222,38 @@ workerOutcomeKindName(WorkerOutcome::Kind kind)
     return "unknown";
 }
 
-WorkerOutcome
-superviseWorker(const std::function<void(int write_fd)> &worker,
-                const WatchdogSpec &watchdog,
-                const std::function<void(std::string_view payload)>
-                    &on_frame)
+WorkerProcess::~WorkerProcess()
 {
-    WorkerOutcome out;
+    if (fd_ >= 0)
+        close(fd_);
+    if (pid_ > 0) {
+        kill(pid_, SIGKILL);
+        while (waitpid(pid_, nullptr, 0) < 0 && errno == EINTR) {
+        }
+    }
+}
+
+void
+WorkerProcess::start(const std::function<void(int write_fd)> &worker,
+                     const WatchdogSpec &watchdog)
+{
+    tlc_assert(pid_ < 0 && fd_ < 0, "WorkerProcess started twice");
+    watchdog_ = watchdog;
 
     int fds[2];
     if (pipe(fds) != 0) {
-        out.kind = WorkerOutcome::Kind::ForkFailed;
-        out.detail = std::string("pipe failed: ") + std::strerror(errno);
-        return out;
+        out_.kind = WorkerOutcome::Kind::ForkFailed;
+        out_.detail = std::string("pipe failed: ") + std::strerror(errno);
+        return;
     }
 
     pid_t pid = fork();
     if (pid < 0) {
-        out.kind = WorkerOutcome::Kind::ForkFailed;
-        out.detail = std::string("fork failed: ") + std::strerror(errno);
+        out_.kind = WorkerOutcome::Kind::ForkFailed;
+        out_.detail = std::string("fork failed: ") + std::strerror(errno);
         close(fds[0]);
         close(fds[1]);
-        return out;
+        return;
     }
 
     if (pid == 0) {
@@ -271,154 +273,160 @@ superviseWorker(const std::function<void(int write_fd)> &worker,
         _exit(0);
     }
 
-    // Parent.
+    // Parent. The write end is closed before any other fork, so the
+    // pipe reads EOF exactly when this worker is gone.
     WorkerMetrics::get().forks.inc();
     close(fds[1]);
-    const int rfd = fds[0];
-    const bool armed = watchdog.timeoutSeconds > 0;
-    const double deadline = nowSeconds() + watchdog.timeoutSeconds;
-    FrameReader frames;
-    bool frameError = false;
+    fcntl(fds[0], F_SETFL, fcntl(fds[0], F_GETFL) | O_NONBLOCK);
+    pid_ = pid;
+    fd_ = fds[0];
+    deadline_ = watchdog.timeoutSeconds > 0 ? after(watchdog.timeoutSeconds)
+                                            : Clock::time_point::max();
+}
 
+bool
+WorkerProcess::step(const std::function<void(std::string_view payload)>
+                        &on_frame)
+{
+    if (fd_ < 0)
+        return true;
     for (;;) {
-        double waitSeconds =
-            armed ? deadline - nowSeconds() : 0.25;
-        if (armed && waitSeconds <= 0) {
-            // Watchdog expired: politely, then firmly — but keep
-            // draining the pipe through the grace window, because a
-            // worker with an armed flight recorder answers SIGTERM
-            // with one last frame of crash context, and dropping it
-            // here would blind the quarantine log.
-            kill(pid, SIGTERM);
-            const double graceDeadline =
-                nowSeconds() + watchdog.killGraceSeconds;
-            for (;;) {
-                const double left = graceDeadline - nowSeconds();
-                if (left <= 0)
-                    break;
-                struct pollfd gfd = {rfd, POLLIN, 0};
-                int gr = poll(&gfd, 1,
-                              static_cast<int>(left * 1000) + 1);
-                if (gr < 0) {
-                    if (errno == EINTR)
-                        continue;
-                    break;
-                }
-                if (gr == 0)
-                    continue;
-                char chunk[4096];
-                ssize_t n = ::read(rfd, chunk, sizeof chunk);
-                if (n <= 0)
-                    break; // EOF or error: nothing more to salvage
-                if (!frames.feed(std::string_view(
-                                     chunk, static_cast<std::size_t>(n)),
-                                 on_frame))
-                    break; // torn mid-death frame; keep what we have
-            }
-            close(rfd);
-            int wstatus = 0;
-            if (!reapWithGrace(pid, 0.05, &wstatus)) {
-                kill(pid, SIGKILL);
-                while (waitpid(pid, &wstatus, 0) < 0 &&
-                       errno == EINTR) {
-                }
-            }
-            out.kind = WorkerOutcome::Kind::Timeout;
-            char msg[96];
-            std::snprintf(msg, sizeof msg,
-                          "worker exceeded %.3gs watchdog and was killed",
-                          watchdog.timeoutSeconds);
-            out.detail = msg;
-            WorkerMetrics::get().timeouts.inc();
-            return out;
-        }
-
-        struct pollfd pfd = {rfd, POLLIN, 0};
-        int timeoutMs = armed
-                            ? static_cast<int>(waitSeconds * 1000) + 1
-                            : 250;
-        int pr = poll(&pfd, 1, timeoutMs);
-        if (pr < 0) {
-            if (errno == EINTR)
-                continue;
-            close(rfd);
-            killAndReap(pid, watchdog.killGraceSeconds);
-            out.kind = WorkerOutcome::Kind::Protocol;
-            out.detail =
-                std::string("poll failed: ") + std::strerror(errno);
-            WorkerMetrics::get().protocolErrors.inc();
-            return out;
-        }
-        if (pr == 0)
-            continue; // re-check the deadline
-
-        char chunk[4096];
-        ssize_t n = ::read(rfd, chunk, sizeof chunk);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            n = 0; // treat as EOF; waitpid classifies below
-        }
+        char chunk[16384];
+        const ssize_t n = ::read(fd_, chunk, sizeof chunk);
         if (n > 0) {
-            if (!frames.feed(std::string_view(
+            if (frames_.feed(std::string_view(
                                  chunk, static_cast<std::size_t>(n)),
-                             on_frame)) {
-                frameError = true;
-                close(rfd);
-                killAndReap(pid, watchdog.killGraceSeconds);
-                out.kind = WorkerOutcome::Kind::Protocol;
-                out.detail = "corrupt frame in worker stream";
-                WorkerMetrics::get().protocolErrors.inc();
-                return out;
-            }
+                             on_frame))
+                continue;
+            // A corrupt frame: act on nothing after it. Inside the
+            // kill grace that is a torn mid-death frame, and the
+            // watchdog's verdict stands.
+            return terminating_
+                       ? finish(WorkerOutcome::Kind::Timeout, 0.05)
+                       : finish(WorkerOutcome::Kind::Protocol, 0.0);
+        }
+        if (n < 0 && errno == EINTR)
             continue;
-        }
-
-        // EOF: the worker closed its pipe (exit or death). Reap and
-        // classify. The grace reap covers the tiny window between
-        // close-of-pipe and process exit.
-        close(rfd);
-        int wstatus = 0;
-        if (!reapWithGrace(pid, 5.0, &wstatus))
-            wstatus = killAndReap(pid, watchdog.killGraceSeconds);
-
-        if (WIFSIGNALED(wstatus)) {
-            out.kind = WorkerOutcome::Kind::Crash;
-            out.termSignal = WTERMSIG(wstatus);
-            char msg[96];
-            std::snprintf(msg, sizeof msg,
-                          "worker killed by signal %d (%s)",
-                          out.termSignal, strsignal(out.termSignal));
-            out.detail = msg;
-            WorkerMetrics::get().crashes.inc();
-            return out;
-        }
-        if (WIFEXITED(wstatus) && WEXITSTATUS(wstatus) != 0) {
-            out.kind = WorkerOutcome::Kind::Exit;
-            out.exitStatus = WEXITSTATUS(wstatus);
-            char msg[96];
-            std::snprintf(msg, sizeof msg,
-                          "worker exited with status %d%s",
-                          out.exitStatus,
-                          out.exitStatus == kWorkerExceptionExit
-                              ? " (unhandled exception)"
-                              : "");
-            out.detail = msg;
-            WorkerMetrics::get().exits.inc();
-            return out;
-        }
-        if (!frames.atFrameBoundary() || frameError) {
-            // Clean exit but torn trailing bytes: the worker lied
-            // about being done. Never act on a partial frame.
-            out.kind = WorkerOutcome::Kind::Protocol;
-            out.detail = "worker exited leaving a torn trailing frame";
-            WorkerMetrics::get().protocolErrors.inc();
-            return out;
-        }
-        out.kind = WorkerOutcome::Kind::Ok;
-        out.detail = "ok";
-        return out;
+        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+            break;
+        // EOF (or a read error): the worker closed its pipe by
+        // exiting or dying. The grace reap covers the tiny window
+        // between close-of-pipe and process exit.
+        return terminating_ ? finish(WorkerOutcome::Kind::Timeout, 0.05)
+                            : finish(WorkerOutcome::Kind::Ok, 5.0);
     }
+    if (Clock::now() < deadline_)
+        return false;
+    if (terminating_)
+        return finish(WorkerOutcome::Kind::Timeout, 0.05);
+    // Watchdog expired: politely, then firmly — but keep draining the
+    // pipe through the grace window, because a worker with an armed
+    // flight recorder answers SIGTERM with one last frame of crash
+    // context, and dropping it here would blind the quarantine log.
+    kill(pid_, SIGTERM);
+    terminating_ = true;
+    deadline_ = after(watchdog_.killGraceSeconds);
+    return false;
+}
+
+bool
+WorkerProcess::finish(WorkerOutcome::Kind kind, double grace_seconds)
+{
+    close(fd_);
+    fd_ = -1;
+    deadline_ = Clock::time_point::min();
+    int wstatus = 0;
+    if (!reapWithGrace(pid_, grace_seconds, &wstatus)) {
+        kill(pid_, SIGKILL);
+        while (waitpid(pid_, &wstatus, 0) < 0 && errno == EINTR) {
+        }
+    }
+    pid_ = -1;
+
+    char msg[96];
+    switch (kind) {
+    case WorkerOutcome::Kind::Timeout:
+        out_.kind = kind;
+        std::snprintf(msg, sizeof msg,
+                      "worker exceeded %.3gs watchdog and was killed",
+                      watchdog_.timeoutSeconds);
+        out_.detail = msg;
+        WorkerMetrics::get().timeouts.inc();
+        return true;
+    case WorkerOutcome::Kind::Protocol:
+        out_.kind = kind;
+        out_.detail = "corrupt frame in worker stream";
+        WorkerMetrics::get().protocolErrors.inc();
+        return true;
+    default:
+        break;
+    }
+    if (WIFSIGNALED(wstatus)) {
+        out_.kind = WorkerOutcome::Kind::Crash;
+        out_.termSignal = WTERMSIG(wstatus);
+        std::snprintf(msg, sizeof msg, "worker killed by signal %d (%s)",
+                      out_.termSignal, strsignal(out_.termSignal));
+        out_.detail = msg;
+        WorkerMetrics::get().crashes.inc();
+        return true;
+    }
+    if (WIFEXITED(wstatus) && WEXITSTATUS(wstatus) != 0) {
+        out_.kind = WorkerOutcome::Kind::Exit;
+        out_.exitStatus = WEXITSTATUS(wstatus);
+        std::snprintf(msg, sizeof msg, "worker exited with status %d%s",
+                      out_.exitStatus,
+                      out_.exitStatus == kWorkerExceptionExit
+                          ? " (unhandled exception)"
+                          : "");
+        out_.detail = msg;
+        WorkerMetrics::get().exits.inc();
+        return true;
+    }
+    if (!frames_.atFrameBoundary()) {
+        // Clean exit but torn trailing bytes: the worker lied
+        // about being done. Never act on a partial frame.
+        out_.kind = WorkerOutcome::Kind::Protocol;
+        out_.detail = "worker exited leaving a torn trailing frame";
+        WorkerMetrics::get().protocolErrors.inc();
+        return true;
+    }
+    out_.kind = WorkerOutcome::Kind::Ok;
+    out_.detail = "ok";
+    return true;
+}
+
+int
+pollTimeoutMs(std::chrono::steady_clock::time_point t)
+{
+    using Clock = std::chrono::steady_clock;
+    if (t == Clock::time_point::max())
+        return -1;
+    const Clock::duration left = t - Clock::now();
+    if (left <= Clock::duration::zero())
+        return 0;
+    // Round up: waking just before the deadline would only spin.
+    const auto ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(left)
+            .count() +
+        1;
+    return static_cast<int>(
+        std::min<long long>(ms, std::numeric_limits<int>::max()));
+}
+
+WorkerOutcome
+superviseWorker(const std::function<void(int write_fd)> &worker,
+                const WatchdogSpec &watchdog,
+                const std::function<void(std::string_view payload)>
+                    &on_frame)
+{
+    WorkerProcess w;
+    w.start(worker, watchdog);
+    while (!w.step(on_frame)) {
+        // EINTR, or input, or the deadline: step() sorts it out.
+        struct pollfd pfd = {w.fd(), POLLIN, 0};
+        (void)poll(&pfd, 1, pollTimeoutMs(w.deadline()));
+    }
+    return w.outcome();
 }
 
 double

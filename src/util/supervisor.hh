@@ -11,6 +11,8 @@
  *  - fork a worker and hand it the write end of a pipe,
  *  - read length-prefixed, CRC-32-guarded frames on the parent side
  *    (a torn or corrupted frame is detected, never acted on),
+ *  - do all of it without blocking (WorkerProcess), so that one
+ *    thread's poll() loop can supervise many workers at once,
  *  - enforce a watchdog deadline on the whole worker run, escalating
  *    SIGTERM -> SIGKILL when the worker ignores the polite signal,
  *  - classify how the worker ended: clean, killed by a signal
@@ -33,10 +35,13 @@
 #ifndef TLC_UTIL_SUPERVISOR_HH
 #define TLC_UTIL_SUPERVISOR_HH
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
+
+#include <sys/types.h>
 
 #include "util/status.hh"
 
@@ -148,6 +153,75 @@ struct WorkerOutcome
 const char *workerOutcomeKindName(WorkerOutcome::Kind kind);
 
 /**
+ * One forked worker under supervision, driven without blocking so
+ * that one thread can poll many workers at once (superviseWorker is
+ * the loop over a single one). start() forks; afterwards, whenever
+ * fd() is readable or deadline() has passed, step() drains the pipe
+ * into frames, fires the watchdog (SIGTERM, then SIGKILL after the
+ * grace period, draining the pipe in between for a last flight
+ * frame), and once the stream has ended reaps and classifies the
+ * worker. A handle destroyed with its worker still running SIGKILLs
+ * and reaps it, so no path leaves a zombie.
+ */
+class WorkerProcess
+{
+  public:
+    using Clock = std::chrono::steady_clock;
+
+    WorkerProcess() = default;
+    ~WorkerProcess();
+    WorkerProcess(const WorkerProcess &) = delete;
+    WorkerProcess &operator=(const WorkerProcess &) = delete;
+
+    /**
+     * Fork @p worker(write_fd) under @p watchdog. When the pipe or the
+     * fork fails the run is over at once: outcome() is ForkFailed and
+     * the first step() returns true.
+     */
+    void start(const std::function<void(int write_fd)> &worker,
+               const WatchdogSpec &watchdog);
+
+    /** The read end to poll for input; -1 once the run is over. */
+    int fd() const { return fd_; }
+
+    /** When step() must run even without input: the watchdog or the
+     *  kill grace expiring, Clock::time_point::max() when neither is
+     *  armed, and the past once the run is over. */
+    Clock::time_point deadline() const { return deadline_; }
+
+    /**
+     * Read what the pipe holds, hand each intact frame to @p on_frame
+     * in order, and act on an expired deadline. Never waits for
+     * input (only, briefly, for a worker that closed its pipe to
+     * exit). Returns true once the worker is reaped and outcome() is
+     * final. on_frame runs on the calling thread and must not throw.
+     */
+    bool step(const std::function<void(std::string_view payload)>
+                  &on_frame);
+
+    /** How the run ended; meaningful once step() returned true. */
+    const WorkerOutcome &outcome() const { return out_; }
+
+  private:
+    /** Close the pipe, reap (SIGKILL after @p grace_seconds), and
+     *  file @p kind as the outcome; Ok means "classify how the
+     *  worker exited". Returns true. */
+    bool finish(WorkerOutcome::Kind kind, double grace_seconds);
+
+    pid_t pid_ = -1;
+    int fd_ = -1;
+    WatchdogSpec watchdog_;
+    Clock::time_point deadline_ = Clock::time_point::min();
+    bool terminating_ = false; ///< SIGTERM sent, in the kill grace
+    FrameReader frames_;
+    WorkerOutcome out_;
+};
+
+/** Milliseconds from now until @p t for poll(): 0 once it has
+ *  passed, -1 (wait for input) for time_point::max(). */
+int pollTimeoutMs(std::chrono::steady_clock::time_point t);
+
+/**
  * Fork, run @p worker(write_fd) in the child, and collect the frames
  * it writes. The parent invokes @p on_frame once per intact frame,
  * in order, while the run is still in flight — a worker that dies
@@ -155,7 +229,7 @@ const char *workerOutcomeKindName(WorkerOutcome::Kind kind);
  * covers the whole run: when it expires the worker gets SIGTERM,
  * then SIGKILL after the grace period, and the outcome is Timeout.
  * The child is always reaped before this returns; there are no
- * zombies to collect.
+ * zombies to collect. A poll() loop over one WorkerProcess.
  *
  * on_frame runs on the calling thread and must not throw.
  */

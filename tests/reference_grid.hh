@@ -4,7 +4,8 @@
  * sizes 1 KiB..128 KiB, each alone and under a 2x..128x L2 (8 L1
  * sizes x 8 shapes). Small enough to simulate many times over in
  * one test, and wide enough that a supervised run of it spans
- * several shards.
+ * several shards. Also the worker-count guard those differentials
+ * pin their sweep width with.
  */
 
 #ifndef TLC_TESTS_REFERENCE_GRID_HH
@@ -14,9 +15,21 @@
 #include <vector>
 
 #include "core/system_config.hh"
+#include "util/parallel.hh"
 #include "util/units.hh"
 
 namespace tlc {
+
+/** Sets the worker-count override (the sweep width) for a test and
+ *  clears it when the test exits. */
+class WorkerCountGuard
+{
+  public:
+    explicit WorkerCountGuard(unsigned n) { setParallelWorkerCount(n); }
+    ~WorkerCountGuard() { setParallelWorkerCount(0); }
+    WorkerCountGuard(const WorkerCountGuard &) = delete;
+    WorkerCountGuard &operator=(const WorkerCountGuard &) = delete;
+};
 
 inline std::vector<SystemConfig>
 referenceGrid()

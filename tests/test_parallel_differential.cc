@@ -34,14 +34,6 @@ namespace {
 /// replacement all engage.
 constexpr std::uint64_t kRefs = 30000;
 
-/** Restores the worker-count override when a test exits. */
-class WorkerCountGuard
-{
-  public:
-    explicit WorkerCountGuard(unsigned n) { setParallelWorkerCount(n); }
-    ~WorkerCountGuard() { setParallelWorkerCount(0); }
-};
-
 struct SweepResult
 {
     std::vector<DesignPoint> points;

@@ -101,14 +101,6 @@ constexpr bool kSanitized = false;
 constexpr bool kSanitized = false;
 #endif
 
-/** Restores the worker-count override when it goes out of scope. */
-class WorkerCountGuard
-{
-  public:
-    explicit WorkerCountGuard(unsigned n) { setParallelWorkerCount(n); }
-    ~WorkerCountGuard() { setParallelWorkerCount(0); }
-};
-
 /** Calls of one phase in the global profiler so far. */
 std::uint64_t
 phaseCalls(const char *name)

@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -42,6 +43,7 @@
 #include "core/shard_runner.hh"
 #include "core/sweep_cache.hh"
 #include "util/metrics.hh"
+#include "util/parallel.hh"
 #include "util/result_store.hh"
 #include "util/supervisor.hh"
 
@@ -69,6 +71,7 @@ struct SweepResult
     std::vector<DesignPoint> points;
     std::vector<SweepFailure> failures;
     SupervisionStats stats;
+    std::vector<ShardTimeline> timeline;
 };
 
 /** Supervisor options tuned for tests: small shards so one grid
@@ -83,23 +86,7 @@ testOptions()
     o.retry.maxRetries = 2;
     o.retry.backoffBaseSeconds = 0.001;
     o.retry.backoffMaxSeconds = 0.01;
-    o.evaluator.traceRefs = kRefs;
     return o;
-}
-
-/** In-process reference sweep on a fresh evaluator/explorer pair. */
-SweepResult
-runInProcess(const std::vector<SystemConfig> &configs)
-{
-    EvaluatorOptions opts;
-    opts.traceRefs = kRefs;
-    MissRateEvaluator ev(std::move(opts));
-    Explorer ex(ev);
-    FailureReport report;
-    SweepResult r;
-    r.points = ex.evaluateAll(Benchmark::Gcc1, configs, &report);
-    r.failures = report.failures();
-    return r;
 }
 
 /** Evaluator options of the tests, with the result store at
@@ -116,14 +103,28 @@ evaluatorOptions(const std::string &store_path = "")
     return opts;
 }
 
-/** Supervised sweep on a fresh evaluator/explorer pair, with the
- *  result store at @p store_path on the parent's evaluator. */
+/** In-process reference sweep on a fresh evaluator/explorer pair. */
+SweepResult
+runInProcess(const std::vector<SystemConfig> &configs,
+             EvaluatorOptions evopts = evaluatorOptions())
+{
+    MissRateEvaluator ev(std::move(evopts));
+    Explorer ex(ev);
+    FailureReport report;
+    SweepResult r;
+    r.points = ex.evaluateAll(Benchmark::Gcc1, configs, &report);
+    r.failures = report.failures();
+    return r;
+}
+
+/** Supervised sweep on a fresh evaluator/explorer pair built from
+ *  @p evopts (the parent's evaluator, store included). */
 SweepResult
 runSupervised(const std::vector<SystemConfig> &configs,
               const SupervisorOptions &opts,
-              const std::string &store_path = "")
+              EvaluatorOptions evopts = evaluatorOptions())
 {
-    MissRateEvaluator ev(evaluatorOptions(store_path));
+    MissRateEvaluator ev(std::move(evopts));
     Explorer ex(ev);
     FailureReport report;
     SweepResult r;
@@ -131,8 +132,48 @@ runSupervised(const std::vector<SystemConfig> &configs,
                                                configs, &report, opts);
     r.points = std::move(ss.points);
     r.stats = ss.stats;
+    r.timeline = std::move(ss.timeline);
     r.failures = report.failures();
     return r;
+}
+
+/** The planned passes of @p configs at the current sweep width, bin
+ *  after bin: the shards a clean supervised sweep launches, in the
+ *  order its timeline lists them. */
+std::vector<SweepPass>
+plannedShards(const std::vector<SystemConfig> &configs,
+              std::size_t points_per_shard)
+{
+    std::vector<SweepPass> out;
+    for (SweepBin &bin :
+         planSweep(configs, parallelWorkerCount(), points_per_shard))
+        for (SweepPass &pass : bin.passes)
+            out.push_back(std::move(pass));
+    return out;
+}
+
+/** @p timeline lists @p passes in plan order, each bisected shard
+ *  followed at once by its two halves (and theirs, depth first). */
+void
+expectPlanOrder(const std::vector<ShardTimeline> &timeline,
+                const std::vector<SweepPass> &passes)
+{
+    std::size_t next = 0;
+    std::size_t halvesOwed = 0;
+    for (const ShardTimeline &tl : timeline) {
+        if (halvesOwed == 0) {
+            ASSERT_LT(next, passes.size());
+            EXPECT_EQ(tl.firstIndex, passes[next].indices.front());
+            EXPECT_EQ(tl.count, passes[next].indices.size());
+            ++next;
+        } else {
+            --halvesOwed;
+        }
+        if (tl.resolution == "bisected")
+            halvesOwed += 2;
+    }
+    EXPECT_EQ(next, passes.size());
+    EXPECT_EQ(halvesOwed, 0u);
 }
 
 /** Bitwise equality of every priced field of two design points. */
@@ -306,11 +347,13 @@ TEST(ShardRunner, CleanSupervisedSweepMatchesInProcess)
     expectIdentical(clean, sup);
     EXPECT_EQ(sup.stats.quarantined, 0u);
     EXPECT_EQ(sup.stats.retries, 0u);
-    EXPECT_EQ(sup.stats.shards, (grid.size() + 15) / 16);
+    EXPECT_EQ(sup.stats.shards, plannedShards(grid, 16).size());
 }
 
 TEST(ShardRunner, PermanentCrashQuarantinesExactlyThatPoint)
 {
+    // One worker at a time, so the pinned counts below are one bin's.
+    WorkerCountGuard guard(1);
     const auto grid = referenceGrid();
     const std::uint32_t poisoned = 12;
     SweepResult clean = runInProcess(grid);
@@ -513,7 +556,8 @@ TEST(ShardRunner, SigkilledSupervisorResumesByteIdentical)
     const std::uint64_t hits0 = reg.counter("sweep_cache.hits").value();
     const std::uint64_t lanes0 =
         reg.counter("explore.batch.lanes").value();
-    SweepResult resumed = runSupervised(grid, testOptions(), storePath);
+    SweepResult resumed =
+        runSupervised(grid, testOptions(), evaluatorOptions(storePath));
     expectIdentical(clean, resumed);
     EXPECT_EQ(resumed.stats.quarantined, 0u);
     EXPECT_GE(reg.counter("sweep_cache.hits").value() - hits0, 1u);
@@ -537,7 +581,8 @@ TEST(ShardRunner, WarmSupervisedSweepLaunchesNoWorker)
         clean.points = ex.evaluateAll(Benchmark::Gcc1, grid, &report);
         clean.failures = report.failures();
     }
-    SweepResult warm = runSupervised(grid, testOptions(), storePath);
+    SweepResult warm =
+        runSupervised(grid, testOptions(), evaluatorOptions(storePath));
     expectIdentical(clean, warm);
     EXPECT_EQ(warm.stats.attempts, 0u);
     EXPECT_EQ(warm.stats.shards, 0u);
@@ -548,7 +593,8 @@ TEST(ShardRunner, ShardsArePlannedPassesOfWholeL1Groups)
 {
     // The paper's design space has L1 groups of 1 to 9 points; at 4
     // points per shard every group larger than the bound is a shard
-    // of its own, and no shard splits a group.
+    // of its own, and no shard splits a group. Four bins run at once.
+    WorkerCountGuard guard(4);
     SystemAssumptions a;
     const std::vector<SystemConfig> space = DesignSpace::enumerate(a);
     SweepResult clean = runInProcess(space);
@@ -565,13 +611,12 @@ TEST(ShardRunner, ShardsArePlannedPassesOfWholeL1Groups)
     sup.failures = report.failures();
     expectIdentical(clean, sup);
 
-    // The shards are the plan's passes, in order, and each holds
-    // every point of each L1 size it touches.
-    const std::vector<SweepBin> plan = planSweep(space, 1, 4);
-    ASSERT_EQ(plan.size(), 1u);
-    const std::vector<SweepPass> &passes = plan[0].passes;
+    // The shards are the plan's passes, bin after bin, and each
+    // holds every point of each L1 size it touches.
+    const std::vector<SweepPass> passes = plannedShards(space, 4);
     ASSERT_EQ(ss.timeline.size(), passes.size());
     EXPECT_EQ(ss.stats.shards, passes.size());
+    EXPECT_EQ(ss.stats.attempts, passes.size());
     for (std::size_t k = 0; k < passes.size(); ++k) {
         SCOPED_TRACE("shard " + std::to_string(k));
         const std::vector<std::size_t> &idx = passes[k].indices;
@@ -587,6 +632,150 @@ TEST(ShardRunner, ShardsArePlannedPassesOfWholeL1Groups)
                     << j << " split from " << i;
             }
         }
+    }
+}
+
+TEST(ShardRunner, ConcurrentShardsMatchInProcessAtEveryWidth)
+{
+    // One bin per worker process, every bin driven from one poll
+    // loop: the output must not depend on the width or on which bin
+    // finishes first, a fault must cost exactly what it costs in one
+    // bin, and the timeline must come out in plan order.
+    const auto grid = referenceGrid();
+    const std::uint32_t poisoned = 12;
+    const SweepResult clean = runInProcess(grid);
+    SweepResult quarantined = clean;
+    quarantined.points.erase(quarantined.points.begin() + poisoned);
+    struct Case
+    {
+        const char *name;
+        ShardFault fault;
+    };
+    const Case cases[] = {
+        {"clean", ShardFault{}},
+        {"transient crash", fault(ShardFault::Kind::Crash, poisoned, 1)},
+        {"torn stream",
+         fault(ShardFault::Kind::PartialWrite, poisoned, 1)},
+        {"permanent crash", fault(ShardFault::Kind::Crash, poisoned, -1)},
+    };
+    for (unsigned width : {1u, 2u, 3u, 4u, 8u}) {
+        WorkerCountGuard guard(width);
+        const std::vector<SweepPass> passes = plannedShards(grid, 16);
+        for (const Case &c : cases) {
+            SCOPED_TRACE(std::string(c.name) + " at width " +
+                         std::to_string(width));
+            SupervisorOptions opts = testOptions();
+            opts.retry.maxRetries = 1;
+            const bool permanent =
+                c.fault.kind != ShardFault::Kind::None && c.fault.times < 0;
+            if (c.fault.kind != ShardFault::Kind::None)
+                opts.faults.faults.push_back(c.fault);
+            const SweepResult sup = runSupervised(grid, opts);
+
+            if (permanent) {
+                ASSERT_EQ(sup.points.size(), quarantined.points.size());
+                for (std::size_t i = 0; i < sup.points.size(); ++i)
+                    expectIdenticalPoint(quarantined.points[i],
+                                         sup.points[i], i);
+                ASSERT_EQ(sup.failures.size(), 1u);
+                EXPECT_EQ(sup.failures[0].subject, grid[poisoned].label());
+                EXPECT_EQ(sup.failures[0].status.code(),
+                          StatusCode::WorkerCrash);
+            } else {
+                expectIdentical(clean, sup);
+            }
+            EXPECT_EQ(sup.stats.quarantined, permanent ? 1u : 0u);
+            if (c.fault.kind == ShardFault::Kind::None) {
+                EXPECT_EQ(sup.stats.attempts, passes.size());
+                EXPECT_EQ(sup.stats.shards, passes.size());
+            }
+            expectPlanOrder(sup.timeline, passes);
+        }
+    }
+}
+
+TEST(ShardRunner, HungWorkerDoesNotHoldBackOtherBins)
+{
+    // A worker hanging in one bin (SIGTERM ignored, so only the
+    // watchdog's SIGKILL ends it) must not stall the other bins:
+    // their shards finish while it hangs, and the sweep ends one
+    // watchdog plus grace after it starts, plus the quick retry
+    // (the slack also absorbs a loaded host).
+    WorkerCountGuard guard(4);
+    const auto grid = referenceGrid();
+    const SweepResult clean = runInProcess(grid);
+    SupervisorOptions opts = testOptions();
+    opts.watchdog.timeoutSeconds = 2.0;
+    opts.faults.faults.push_back(fault(ShardFault::Kind::Hang, 12, 1));
+
+    const auto t0 = std::chrono::steady_clock::now();
+    const SweepResult sup = runSupervised(grid, opts);
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    expectIdentical(clean, sup);
+    EXPECT_EQ(sup.stats.timeouts, 1u);
+    EXPECT_EQ(sup.stats.retries, 1u);
+
+    std::uint32_t hungBin = 0;
+    std::uint32_t deliveredDuringHang = 0;
+    for (const ShardTimeline &tl : sup.timeline) {
+        for (const ShardAttempt &at : tl.attempts) {
+            if (at.outcome == "timeout") {
+                EXPECT_GE(at.durationSeconds, opts.watchdog.timeoutSeconds);
+                hungBin = tl.count;
+            } else if (at.startSeconds + at.durationSeconds <
+                       opts.watchdog.timeoutSeconds) {
+                deliveredDuringHang += at.resultsDelivered;
+            }
+        }
+    }
+    // Every point outside the hung worker's bin arrived meanwhile.
+    ASSERT_GT(hungBin, 0u);
+    EXPECT_EQ(deliveredDuringHang, grid.size() - hungBin);
+    EXPECT_LT(wall, opts.watchdog.timeoutSeconds +
+                        opts.watchdog.killGraceSeconds + 1.0);
+}
+
+TEST(ShardRunner, WorkersSimulateTheParentsTrace)
+{
+    // The parent remembers and stores each result under its own
+    // evaluator's trace identity, so a worker must simulate exactly
+    // that trace: SupervisorOptions::evaluator has no say any more.
+    const auto grid = referenceGrid();
+    SupervisorOptions opts = testOptions();
+    opts.evaluator.traceRefs = kRefs / 2;
+    expectIdentical(runInProcess(grid), runSupervised(grid, opts));
+}
+
+TEST(ShardRunner, UnloadableTraceForksNothingAndReportsLikeInProcess)
+{
+    // A trace that cannot load fails in the parent before any fork,
+    // and the report is the in-process engine's byte for byte: the
+    // one-entry preflight without a store, and with one (preflight
+    // skipped) the failure recorded for every pending lane next to
+    // the invalid config's own entry.
+    auto grid = referenceGrid();
+    SystemConfig bad;
+    bad.l1Bytes = 3000; // not a power of two: fails check()
+    bad.l2Bytes = 0;
+    grid.insert(grid.begin() + 5, bad);
+    const std::string missing = tempPath("tlc_supervisor_missing.trc");
+    for (bool withStore : {false, true}) {
+        SCOPED_TRACE(withStore ? "with a result store" : "no store");
+        const std::string storePath =
+            withStore ? tempPath("tlc_supervisor_missing.tlrs") : "";
+        EvaluatorOptions evopts = evaluatorOptions(storePath);
+        evopts.traceFiles[Benchmark::Gcc1] = missing;
+        const SweepResult inproc = runInProcess(grid, evopts);
+        const SweepResult sup = runSupervised(grid, testOptions(), evopts);
+        expectIdentical(inproc, sup);
+        EXPECT_TRUE(sup.points.empty());
+        EXPECT_EQ(sup.failures.size(), withStore ? 2u : 1u);
+        EXPECT_EQ(sup.stats.attempts, 0u);
+        EXPECT_EQ(sup.stats.shards, 0u);
+        if (withStore)
+            std::remove(storePath.c_str());
     }
 }
 

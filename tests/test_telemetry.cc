@@ -25,6 +25,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <map>
 #include <sstream>
 #include <string>
@@ -32,6 +34,8 @@
 
 #include "core/explorer.hh"
 #include "core/shard_runner.hh"
+#include "trace/io.hh"
+#include "trace/workload.hh"
 #include "util/flight_recorder.hh"
 #include "util/json.hh"
 #include "util/metrics.hh"
@@ -57,14 +61,13 @@ testOptions()
     o.retry.maxRetries = 1;
     o.retry.backoffBaseSeconds = 0.001;
     o.retry.backoffMaxSeconds = 0.01;
-    o.evaluator.traceRefs = kRefs;
     return o;
 }
 
 /** Counters under the compared namespaces: the simulation- and
  *  sweep-level counts that must be identical however the sweep
- *  executed. trace.* is excluded by construction (each worker
- *  subprocess loads the trace again), worker.* because only the
+ *  executed. trace.* is left out (trace acquisition, which
+ *  WorkersLoadNoTrace checks on its own), worker.* because only the
  *  supervised run has per-worker namespaces, supervisor.* because
  *  the in-process engine never supervises. */
 std::map<std::string, std::uint64_t>
@@ -104,10 +107,13 @@ runInProcess(const std::vector<SystemConfig> &configs)
 
 RunOutput
 runSupervised(const std::vector<SystemConfig> &configs,
-              const SupervisorOptions &opts)
+              const SupervisorOptions &opts,
+              const std::string &trace_file = "")
 {
     EvaluatorOptions evopts;
     evopts.traceRefs = kRefs;
+    if (!trace_file.empty())
+        evopts.traceFiles[Benchmark::Gcc1] = trace_file;
     MissRateEvaluator ev(std::move(evopts));
     Explorer ex(ev);
     FailureReport report;
@@ -195,6 +201,8 @@ TEST(Telemetry, SupervisedRollupsEqualInProcessCounters)
 
 TEST(Telemetry, WorkerNamespacesAndPhaseStatsMerge)
 {
+    // One worker at a time, so the pinned counts below are one bin's.
+    WorkerCountGuard guard(1);
     const auto grid = referenceGrid();
     MetricsRegistry::global().resetAll();
     Profiler::global().reset();
@@ -213,8 +221,9 @@ TEST(Telemetry, WorkerNamespacesAndPhaseStatsMerge)
     EXPECT_EQ(sup.stats.flightFrames, 2u);
 
     // Every attempt put its simulation counts under worker.<id>.*:
-    // 13 counters for each of this sweep's two workers (the memo is
-    // the parent's, so its misses are not among them). (Worker ids
+    // 11 counters for each of this sweep's two workers (the memo is
+    // the parent's, so its misses are not among them, and so is the
+    // trace, so trace.synthetic.* is not either). (Worker ids
     // are unique per process, so earlier tests' namespaces, which
     // resetAll keeps registered, are not counted.)
     std::vector<std::string> prefixes;
@@ -235,7 +244,7 @@ TEST(Telemetry, WorkerNamespacesAndPhaseStatsMerge)
                 sawWorkerCacheHits = true;
         }
     }
-    EXPECT_EQ(namespaced, 26u);
+    EXPECT_EQ(namespaced, 22u);
     EXPECT_TRUE(sawWorkerCacheHits);
 
     // The workers' sim.batch time merged into the parent profiler.
@@ -246,6 +255,43 @@ TEST(Telemetry, WorkerNamespacesAndPhaseStatsMerge)
     EXPECT_GT(it->second.totalNs, 0u);
     // And the parent's own supervision phase is still there.
     EXPECT_NE(phases.find(phase::kSupervisorShard), phases.end());
+}
+
+TEST(Telemetry, WorkersLoadNoTrace)
+{
+    // The parent loads the trace file once before its first fork and
+    // every worker simulates the copy it inherited: no worker
+    // namespace counts a trace load, so the rolled-up
+    // trace.load.files delta from workers is 0 and the global count
+    // is the parent's one load, at any width.
+    const std::string path = ::testing::TempDir() + "tlc_telemetry.trc";
+    ASSERT_TRUE(saveTraceFile(path, Workloads::generate(Benchmark::Gcc1,
+                                                        kRefs))
+                    .ok());
+    const auto grid = referenceGrid();
+    auto &reg = MetricsRegistry::global();
+    for (unsigned width : {1u, 4u}) {
+        SCOPED_TRACE("width " + std::to_string(width));
+        WorkerCountGuard guard(width);
+        const std::uint64_t loads0 = reg.counter("trace.load.files").value();
+        RunOutput sup = runSupervised(grid, testOptions(), path);
+        EXPECT_EQ(sup.points.size(), grid.size());
+        EXPECT_GE(sup.stats.attempts, width);
+        EXPECT_EQ(reg.counter("trace.load.files").value() - loads0, 1u);
+        std::vector<std::string> workerLoads;
+        for (const ShardTimeline &shard : sup.timeline)
+            for (const ShardAttempt &attempt : shard.attempts)
+                workerLoads.push_back("worker." +
+                                      std::to_string(attempt.workerId) +
+                                      ".trace.load.files");
+        for (const auto &[name, value] : reg.counterValues()) {
+            if (std::find(workerLoads.begin(), workerLoads.end(), name) !=
+                workerLoads.end()) {
+                EXPECT_EQ(value, 0u) << name;
+            }
+        }
+    }
+    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------
@@ -314,6 +360,8 @@ TEST(Telemetry, HangQuarantineCarriesFlightContext)
 
 TEST(Telemetry, MergedTraceParsesStrictlyWithWorkerTracks)
 {
+    // One bin: two 32-point shards, so the track names are known.
+    WorkerCountGuard guard(1);
     const auto grid = referenceGrid();
     TraceEventRecorder rec;
     TraceEventRecorder::setActive(&rec);
@@ -405,6 +453,8 @@ TEST(Telemetry, FlightRingKeepsNewestWhenWrapping)
 
 TEST(Telemetry, TimelineRecordsAttemptsAndRendersStrictJson)
 {
+    // One bin: four 16-point shards in index order.
+    WorkerCountGuard guard(1);
     const auto grid = referenceGrid();
     SupervisorOptions opts = testOptions();
     opts.pointsPerShard = 16;

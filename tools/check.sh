@@ -193,50 +193,93 @@ run_recovery() {
     build/examples/design_explorer --refs=50000 --quiet \
         > "$rec_dir/inproc.txt"
 
-    # Fault-free isolation must be invisible in the output.
+    # Fault-free isolation must be invisible in the output. Its
+    # manifest's worker launches are the cold count the resume drill
+    # below must beat.
     build/examples/design_explorer --refs=50000 --quiet \
-        --isolate=process > "$rec_dir/isolate.txt"
+        --isolate=process --manifest="$rec_dir/cold.json" \
+        > "$rec_dir/isolate.txt"
     cmp "$rec_dir/inproc.txt" "$rec_dir/isolate.txt" || {
         echo "isolated sweep output differs from in-process" >&2
         exit 1
     }
 
-    # A worker that crashes once is retried; the sweep self-heals.
-    build/examples/design_explorer --refs=50000 --quiet \
-        --isolate=process --inject-crash-at=12 --inject-times=1 \
-        > "$rec_dir/crash.txt"
-    cmp "$rec_dir/inproc.txt" "$rec_dir/crash.txt" || {
-        echo "transient worker crash leaked into sweep output" >&2
-        exit 1
-    }
-
-    # A worker that hangs once (ignoring SIGTERM) is killed by the
+    # One worker at a time, and four bins' workers at once under one
+    # poll loop: either way a worker that crashes once is retried,
+    # and one that hangs once (ignoring SIGTERM) is killed by the
     # watchdog and retried; the sweep self-heals.
-    build/examples/design_explorer --refs=50000 --quiet \
-        --isolate=process --inject-hang-at=12 --inject-times=1 \
-        --shard-timeout=2 > "$rec_dir/hang.txt"
-    cmp "$rec_dir/inproc.txt" "$rec_dir/hang.txt" || {
-        echo "transient worker hang leaked into sweep output" >&2
-        exit 1
-    }
+    for threads in 1 4; do
+        build/examples/design_explorer --refs=50000 --quiet \
+            --threads="$threads" --isolate=process \
+            --inject-crash-at=12 --inject-times=1 \
+            > "$rec_dir/crash.txt"
+        cmp "$rec_dir/inproc.txt" "$rec_dir/crash.txt" || {
+            echo "transient worker crash leaked into sweep output" \
+                 "at --threads=$threads" >&2
+            exit 1
+        }
+        build/examples/design_explorer --refs=50000 --quiet \
+            --threads="$threads" --isolate=process \
+            --inject-hang-at=12 --inject-times=1 --shard-timeout=2 \
+            > "$rec_dir/hang.txt"
+        cmp "$rec_dir/inproc.txt" "$rec_dir/hang.txt" || {
+            echo "transient worker hang leaked into sweep output" \
+                 "at --threads=$threads" >&2
+            exit 1
+        }
+    done
 
     # SIGKILL the supervisor mid-sweep, then --resume against the
     # store it was appending to: the finished run must be
-    # byte-identical. (If the first run wins the race and completes,
-    # the resume differential still has to hold.) Only the supervisor
-    # writes the store, so an orphaned worker has nothing to drain.
-    build/examples/design_explorer --refs=50000 --quiet \
-        --isolate=process --result-store="$rec_dir/sweep.tlrs" \
-        > /dev/null 2>&1 &
+    # byte-identical, and must launch fewer workers than a cold run.
+    # The victim cannot finish first: its worker hangs for good at
+    # design point 40, which only the 45-point two-level spaces hold,
+    # under a 30 s watchdog. It runs in a session of its own, so the
+    # kill takes its whole process group, the hung worker included
+    # (a non-interactive shell's background job leads no process
+    # group, so setsid runs the victim in place and $! is its pid).
+    # It dies once its first sweep (the 9 single-level points) has
+    # reported done, so the store holds that sweep in full. Only the
+    # supervisor writes the store, so no worker has anything to drain.
+    setsid build/examples/design_explorer --refs=50000 --quiet \
+        --progress --isolate=process --result-store="$rec_dir/sweep.tlrs" \
+        --inject-hang-at=40 --inject-times=-1 --shard-timeout=30 \
+        > /dev/null 2> "$rec_dir/victim.err" &
     victim=$!
-    sleep 1
-    kill -KILL "$victim" 2>/dev/null || true
+    tries=0
+    until grep -q ' 9/9 ' "$rec_dir/victim.err" 2>/dev/null; do
+        tries=$((tries + 1))
+        [ "$tries" -lt 400 ] || {
+            kill -KILL "-$victim" 2>/dev/null || true
+            echo "supervised victim never finished its first sweep" >&2
+            exit 1
+        }
+        sleep 0.05
+    done
+    [ "$(wc -c < "$rec_dir/sweep.tlrs")" -gt 8 ] || {
+        kill -KILL "-$victim" 2>/dev/null || true
+        echo "victim reported results but its store holds none" >&2
+        exit 1
+    }
+    kill -KILL "-$victim"
     wait "$victim" 2>/dev/null || true
     build/examples/design_explorer --refs=50000 --quiet \
         --isolate=process --result-store="$rec_dir/sweep.tlrs" \
-        --resume > "$rec_dir/resumed.txt"
+        --resume --manifest="$rec_dir/resumed.json" \
+        > "$rec_dir/resumed.txt"
     cmp "$rec_dir/inproc.txt" "$rec_dir/resumed.txt" || {
         echo "--resume after SIGKILLed supervisor diverged" >&2
+        exit 1
+    }
+    launches() {
+        sed -n 's/.*"worker_launches": \([0-9]*\),.*/\1/p' "$1"
+    }
+    cold=$(launches "$rec_dir/cold.json")
+    resumed=$(launches "$rec_dir/resumed.json")
+    [ -n "$cold" ] && [ -n "$resumed" ] && [ "$resumed" -ge 1 ] &&
+        [ "$resumed" -lt "$cold" ] || {
+        echo "--resume launched ${resumed:-?} workers; expected 1 to" \
+             "$((${cold:-1} - 1)) (a cold run launches ${cold:-?})" >&2
         exit 1
     }
 
