@@ -30,7 +30,6 @@
 #include "util/metrics.hh"
 #include "util/parallel.hh"
 #include "util/profiler.hh"
-#include "util/telemetry_wire.hh"
 #include "util/trace_event.hh"
 #include "util/wire.hh"
 
@@ -88,11 +87,15 @@ std::atomic<std::uint32_t> gWorkerSerial{0};
 //   fail -> u32le StatusCode, u32le message length, message bytes
 // Done frame:   u8 tag=2, u32le result-frame count
 //
-// Telemetry frames, streamed after results and before Done (the
-// layouts after the tag are util/telemetry_wire.hh's):
-// Metrics frame: u8 tag=3, the worker's metrics-registry snapshot
-// Phases frame:  u8 tag=4, its profiler phase stats
-// Events frame:  u8 tag=5, its trace-event slices, chunked at
+// Telemetry frames (streamed after results, before Done; all string
+// fields are u32le length + bytes):
+// Metrics frame: u8 tag=3, u32le counter count, per counter
+//   (name, u64le value); u32le gauge count, per gauge (name, u64le
+//   IEEE-754 bit pattern of the double value)
+// Phases frame:  u8 tag=4, u32le phase count, per phase (name,
+//   u64le calls, u64le totalNs, u64le maxNs)
+// Events frame:  u8 tag=5, u32le event count, per event (u64le tsUs,
+//   u64le durUs, u32le tid, name, category, argsJson); chunked at
 //   kEventsPerFrame so a frame stays far below kMaxFrameBytes
 // Flight frame:  u8 tag=6, then the flight-recorder payload
 //   (util/flight_recorder.hh owns that layout; its first byte is
@@ -172,6 +175,159 @@ decodeResult(std::string_view payload, WireResult &out)
         return false;
     out.result.emplace(Status(clampStatusCode(code), std::move(msg)));
     return true;
+}
+
+/** The worker's metrics-registry snapshot as one frame payload.
+ *  Values are absolute, but the worker reset its inherited registry
+ *  on entry, so absolute *is* the per-attempt delta. */
+std::string
+encodeMetricsFrame()
+{
+    auto &reg = MetricsRegistry::global();
+    const auto counters = reg.counterValues();
+    const auto gauges = reg.gaugeValues();
+    std::string out;
+    out.push_back(static_cast<char>(kTagMetrics));
+    putU32le(out, static_cast<std::uint32_t>(counters.size()));
+    for (const auto &[name, value] : counters) {
+        putString(out, name);
+        putU64le(out, value);
+    }
+    putU32le(out, static_cast<std::uint32_t>(gauges.size()));
+    for (const auto &[name, value] : gauges) {
+        putString(out, name);
+        std::uint64_t bits = 0;
+        static_assert(sizeof bits == sizeof value);
+        std::memcpy(&bits, &value, sizeof bits);
+        putU64le(out, bits);
+    }
+    return out;
+}
+
+/**
+ * Fold a metrics payload into the global registry: each counter
+ * delta once under its own name (the rollup; skipped where the
+ * parent registered the name as another kind, which counter() would
+ * panic on) and once under @p prefix, each gauge under @p prefix
+ * only. False, and nothing merged, when the payload is malformed.
+ */
+bool
+mergeMetricsFrame(std::string_view payload, const std::string &prefix)
+{
+    WireReader r{payload, 1}; // past the tag byte
+    std::vector<std::pair<std::string, std::uint64_t>> counters;
+    std::vector<std::pair<std::string, double>> gauges;
+    std::uint32_t n = 0;
+    if (!r.u32(n))
+        return false;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        std::string name;
+        std::uint64_t value = 0;
+        if (!r.str(name) || !r.u64(value))
+            return false;
+        counters.emplace_back(std::move(name), value);
+    }
+    if (!r.u32(n))
+        return false;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        std::string name;
+        std::uint64_t bits = 0;
+        if (!r.str(name) || !r.u64(bits))
+            return false;
+        double value = 0.0;
+        std::memcpy(&value, &bits, sizeof value);
+        gauges.emplace_back(std::move(name), value);
+    }
+    if (!r.done())
+        return false;
+
+    auto &reg = MetricsRegistry::global();
+    for (const auto &[name, delta] : counters) {
+        if (delta == 0)
+            continue;
+        const auto kind = reg.kindOf(name);
+        if (!kind.has_value() || *kind == MetricKind::Counter)
+            reg.counter(name).inc(delta);
+        reg.counter(prefix + name).inc(delta);
+    }
+    for (const auto &[name, value] : gauges)
+        reg.gauge(prefix + name).set(value);
+    return true;
+}
+
+std::string
+encodePhasesFrame()
+{
+    const auto phases = Profiler::global().snapshot();
+    std::string out;
+    out.push_back(static_cast<char>(kTagPhases));
+    putU32le(out, static_cast<std::uint32_t>(phases.size()));
+    for (const auto &[name, stats] : phases) {
+        putString(out, name);
+        putU64le(out, stats.calls);
+        putU64le(out, stats.totalNs);
+        putU64le(out, stats.maxNs);
+    }
+    return out;
+}
+
+/** Merge a phases payload into the global profiler; false, and
+ *  nothing merged, when it is malformed. */
+bool
+mergePhasesFrame(std::string_view payload)
+{
+    WireReader r{payload, 1};
+    std::vector<std::pair<std::string, PhaseStats>> phases;
+    std::uint32_t n = 0;
+    if (!r.u32(n))
+        return false;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        std::string name;
+        PhaseStats s;
+        if (!r.str(name) || !r.u64(s.calls) || !r.u64(s.totalNs) ||
+            !r.u64(s.maxNs))
+            return false;
+        phases.emplace_back(std::move(name), s);
+    }
+    if (!r.done())
+        return false;
+    for (const auto &[name, s] : phases)
+        Profiler::global().merge(name, s);
+    return true;
+}
+
+std::string
+encodeEventsFrame(std::span<const TraceEvent> events)
+{
+    std::string out;
+    out.push_back(static_cast<char>(kTagEvents));
+    putU32le(out, static_cast<std::uint32_t>(events.size()));
+    for (const TraceEvent &e : events) {
+        putU64le(out, e.tsUs);
+        putU64le(out, e.durUs);
+        putU32le(out, e.tid);
+        putString(out, e.name);
+        putString(out, e.category);
+        putString(out, e.argsJson);
+    }
+    return out;
+}
+
+bool
+decodeEventsFrame(std::string_view payload, std::vector<TraceEvent> &out)
+{
+    WireReader r{payload, 1};
+    std::uint32_t n = 0;
+    if (!r.u32(n))
+        return false;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        TraceEvent e;
+        if (!r.u64(e.tsUs) || !r.u64(e.durUs) || !r.u32(e.tid) ||
+            !r.str(e.name) || !r.str(e.category) || !r.str(e.argsJson))
+            return false;
+        out.push_back(std::move(e));
+    }
+    return r.done();
 }
 
 // -----------------------------------------------------------------
@@ -300,9 +456,9 @@ runShardWorker(int write_fd, MissRateEvaluator &ev, Benchmark b,
     fr.setPhase("telemetry");
     if (rec)
         TraceEventRecorder::setActive(nullptr);
-    if (!writeFrame(write_fd, encodeMetricsFrame(kTagMetrics)).ok())
+    if (!writeFrame(write_fd, encodeMetricsFrame()).ok())
         _exit(4);
-    if (!writeFrame(write_fd, encodePhasesFrame(kTagPhases)).ok())
+    if (!writeFrame(write_fd, encodePhasesFrame()).ok())
         _exit(4);
     if (rec) {
         const std::vector<TraceEvent> events = rec->snapshot();
@@ -311,9 +467,8 @@ runShardWorker(int write_fd, MissRateEvaluator &ev, Benchmark b,
             const std::size_t hi =
                 std::min(lo + kEventsPerFrame, events.size());
             if (!writeFrame(write_fd,
-                            encodeEventsFrame(
-                                kTagEvents, std::span<const TraceEvent>(
-                                                events.data() + lo, hi - lo)))
+                            encodeEventsFrame(std::span<const TraceEvent>(
+                                events.data() + lo, hi - lo)))
                      .ok())
                 _exit(4);
         }

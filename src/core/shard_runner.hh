@@ -56,8 +56,7 @@
  *
  * Cross-process telemetry (docs/observability.md): before its Done
  * frame a worker streams its metrics-registry deltas, profiler phase
- * stats and trace-event slices back over the same frame pipe
- * (payloads in util/telemetry_wire.hh). The
+ * stats and trace-event slices back over the same frame pipe. The
  * parent folds counters into the global registry twice — once under
  * the worker's own "worker.<id>." namespace and once into the plain
  * name as an aggregated rollup — merges phases into the global

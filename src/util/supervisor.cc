@@ -296,8 +296,13 @@ WorkerProcess::step(const std::function<void(std::string_view payload)>
         if (n > 0) {
             if (frames_.feed(std::string_view(
                                  chunk, static_cast<std::size_t>(n)),
-                             on_frame))
+                             on_frame)) {
+                // A worker that keeps its pipe full must not starve
+                // the watchdog: an expired deadline ends the drain.
+                if (Clock::now() >= deadline_)
+                    break;
                 continue;
+            }
             // A corrupt frame: act on nothing after it. Inside the
             // kill grace that is a torn mid-death frame, and the
             // watchdog's verdict stands.
@@ -401,9 +406,12 @@ pollTimeoutMs(std::chrono::steady_clock::time_point t)
     using Clock = std::chrono::steady_clock;
     if (t == Clock::time_point::max())
         return -1;
-    const Clock::duration left = t - Clock::now();
-    if (left <= Clock::duration::zero())
+    // Compare before subtracting: t - now overflows for a t far in
+    // the past, such as the time_point::min() of a run that is over.
+    const Clock::time_point now = Clock::now();
+    if (t <= now)
         return 0;
+    const Clock::duration left = t - now;
     // Round up: waking just before the deadline would only spin.
     const auto ms =
         std::chrono::duration_cast<std::chrono::milliseconds>(left)

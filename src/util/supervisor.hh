@@ -191,9 +191,11 @@ class WorkerProcess
 
     /**
      * Read what the pipe holds, hand each intact frame to @p on_frame
-     * in order, and act on an expired deadline. Never waits for
-     * input (only, briefly, for a worker that closed its pipe to
-     * exit). Returns true once the worker is reaped and outcome() is
+     * in order, and act on an expired deadline — which also ends the
+     * drain, so a worker that keeps its pipe full still meets its
+     * watchdog. Never waits for input (only, briefly, for a worker
+     * that closed its pipe to exit). Returns true once the worker is
+     * reaped and outcome() is
      * final. on_frame runs on the calling thread and must not throw.
      */
     bool step(const std::function<void(std::string_view payload)>
@@ -218,7 +220,8 @@ class WorkerProcess
 };
 
 /** Milliseconds from now until @p t for poll(): 0 once it has
- *  passed, -1 (wait for input) for time_point::max(). */
+ *  passed (time_point::min() included), -1 (wait for input) for
+ *  time_point::max(). */
 int pollTimeoutMs(std::chrono::steady_clock::time_point t);
 
 /**

@@ -32,6 +32,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <signal.h>
@@ -42,10 +43,12 @@
 #include "core/explorer.hh"
 #include "core/shard_runner.hh"
 #include "core/sweep_cache.hh"
+#include "util/crc32.hh"
 #include "util/metrics.hh"
 #include "util/parallel.hh"
 #include "util/result_store.hh"
 #include "util/supervisor.hh"
+#include "util/wire.hh"
 
 #include "reference_grid.hh"
 
@@ -297,6 +300,53 @@ TEST(Supervisor, HangHitsWatchdogDespiteIgnoredSigterm)
     EXPECT_EQ(out.toStatus("shard").code(), StatusCode::WorkerTimeout);
 }
 
+TEST(Supervisor, FloodingWorkerStillMeetsItsWatchdog)
+{
+    // A worker that ignores SIGTERM and keeps the pipe full (it
+    // refills it while the slow on_frame sleeps) never lets a read
+    // come back empty; the watchdog and the SIGKILL escalation must
+    // fire anyway.
+    std::string frame;
+    const std::string payload(1000, 'f');
+    putU32le(frame, static_cast<std::uint32_t>(payload.size()));
+    putU32le(frame, crc32(payload.data(), payload.size()));
+    frame += payload;
+    WatchdogSpec wd;
+    wd.timeoutSeconds = 0.2;
+    wd.killGraceSeconds = 0.1;
+    std::size_t frames = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    WorkerOutcome out = superviseWorker(
+        [&frame](int fd) {
+            signal(SIGTERM, SIG_IGN);
+            for (;;) {
+                if (::write(fd, frame.data(), frame.size()) < 0)
+                    _exit(1);
+            }
+        },
+        wd, [&](std::string_view) {
+            ++frames;
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        });
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    EXPECT_EQ(out.kind, WorkerOutcome::Kind::Timeout);
+    EXPECT_GT(frames, 0u);
+    EXPECT_LT(wall, 5.0);
+}
+
+TEST(Supervisor, PollTimeoutOfAPastDeadlineIsZero)
+{
+    using Clock = std::chrono::steady_clock;
+    EXPECT_EQ(pollTimeoutMs(Clock::time_point::min()), 0);
+    EXPECT_EQ(pollTimeoutMs(Clock::now() - std::chrono::seconds(1)), 0);
+    EXPECT_EQ(pollTimeoutMs(Clock::time_point::max()), -1);
+    const int ms = pollTimeoutMs(Clock::now() + std::chrono::seconds(1));
+    EXPECT_GT(ms, 0);
+    EXPECT_LE(ms, 1001);
+}
+
 TEST(Supervisor, TornTrailingFrameIsAProtocolError)
 {
     WorkerOutcome out = superviseWorker(
@@ -341,13 +391,16 @@ TEST(Supervisor, BackoffIsDeterministicBoundedAndJittered)
 
 TEST(ShardRunner, CleanSupervisedSweepMatchesInProcess)
 {
+    // One worker, so the grid's 64 points are 4 shards of 16 (other
+    // widths: ConcurrentShardsMatchInProcessAtEveryWidth).
+    WorkerCountGuard guard(1);
     const auto grid = referenceGrid();
     SweepResult clean = runInProcess(grid);
     SweepResult sup = runSupervised(grid, testOptions());
     expectIdentical(clean, sup);
     EXPECT_EQ(sup.stats.quarantined, 0u);
     EXPECT_EQ(sup.stats.retries, 0u);
-    EXPECT_EQ(sup.stats.shards, plannedShards(grid, 16).size());
+    EXPECT_EQ(sup.stats.shards, 4u);
 }
 
 TEST(ShardRunner, PermanentCrashQuarantinesExactlyThatPoint)
@@ -735,6 +788,42 @@ TEST(ShardRunner, HungWorkerDoesNotHoldBackOtherBins)
     EXPECT_EQ(deliveredDuringHang, grid.size() - hungBin);
     EXPECT_LT(wall, opts.watchdog.timeoutSeconds +
                         opts.watchdog.killGraceSeconds + 1.0);
+}
+
+TEST(ShardRunner, FailedPipeConcludesTheAttemptAtOnce)
+{
+    // With no file descriptor left, every launch fails in pipe().
+    // Each failed launch must conclude at once and go through retry,
+    // bisection and quarantine like any other failure, not leave the
+    // poll loop waiting on a worker that never started.
+    const auto grid = referenceGrid();
+    const std::vector<SystemConfig> few(grid.begin(), grid.begin() + 3);
+    struct rlimit saved;
+    ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &saved), 0);
+    const int lowestFree = dup(0);
+    ASSERT_GE(lowestFree, 0);
+    close(lowestFree);
+    struct rlimit none = saved;
+    none.rlim_cur = static_cast<rlim_t>(lowestFree);
+    ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &none), 0);
+    const auto t0 = std::chrono::steady_clock::now();
+    const SweepResult sup = runSupervised(few, testOptions());
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &saved), 0);
+
+    EXPECT_LT(wall, 5.0);
+    EXPECT_TRUE(sup.points.empty());
+    ASSERT_EQ(sup.failures.size(), few.size());
+    for (const SweepFailure &f : sup.failures) {
+        EXPECT_EQ(f.status.code(), StatusCode::WorkerCrash);
+        EXPECT_NE(f.status.message().find("pipe failed"), std::string::npos)
+            << f.status.message();
+    }
+    EXPECT_EQ(sup.stats.quarantined, few.size());
+    EXPECT_GT(sup.stats.attempts, 0u);
+    EXPECT_EQ(sup.stats.protocolErrors, sup.stats.attempts);
 }
 
 TEST(ShardRunner, WorkersSimulateTheParentsTrace)
