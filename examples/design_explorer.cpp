@@ -55,7 +55,10 @@
  *                     document and print the canonical response to
  *                     stdout — the same schema (and the same bytes)
  *                     the tlcd daemon serves; --stats-out=FILE
- *                     writes the run's cache-hit accounting
+ *                     writes the run's cache-hit accounting. Only
+ *                     the persistence flags, --progress and the
+ *                     standard flags combine with it; any other
+ *                     flag is fatal
  */
 
 #include <chrono>
@@ -81,7 +84,7 @@ main(int argc, char **argv)
     applyStandardFlags(args);
     cli::SweepFlags flags = cli::sweepFlagsFromArgs(args, 2000000);
     // Service mode: the whole run is described by the request
-    // document; none of the classic flags below apply.
+    // document; sweepFlagsFromArgs rejected the classic flags below.
     if (!flags.requestFile.empty())
         return service::runRequestCli(flags);
 
@@ -109,6 +112,7 @@ main(int argc, char **argv)
     }
     MissRateEvaluator ev(evopts);
     Explorer ex(ev);
+    ex.setIsolation(isolate ? &sopts : nullptr);
     if (progress)
         ex.setProgressCallback(stderrProgressPrinter(
             Workloads::info(bench).name));
@@ -136,8 +140,6 @@ main(int argc, char **argv)
 
     auto runStart = std::chrono::steady_clock::now();
     std::size_t pointsPriced = 0;
-    SupervisionStats supStats;
-    std::vector<ShardTimeline> supTimeline;
     FailureReport report;
     Table t({"scenario", "best_config", "area_rbe", "l1_cycle_ns",
              "tpi_ns"});
@@ -148,20 +150,8 @@ main(int argc, char **argv)
         a.offchipNs = offchip;
         a.l2Assoc = sc.assoc;
         a.policy = sc.policy;
-        std::vector<DesignPoint> points;
-        if (isolate) {
-            SupervisedSweep sw = supervisedEvaluateAll(
-                ex, bench, DesignSpace::enumerate(a, true, sc.two_level),
-                &report, sopts);
-            supStats.accumulate(sw.stats);
-            supTimeline.insert(
-                supTimeline.end(),
-                std::make_move_iterator(sw.timeline.begin()),
-                std::make_move_iterator(sw.timeline.end()));
-            points = std::move(sw.points);
-        } else {
-            points = ex.sweep(bench, a, true, sc.two_level, &report);
-        }
+        std::vector<DesignPoint> points =
+            ex.sweep(bench, a, true, sc.two_level, &report);
         pointsPriced += points.size();
         Envelope env = Explorer::envelopeOf(points);
         const EnvelopePoint *p = env.bestPointWithin(budget);
@@ -206,9 +196,9 @@ main(int argc, char **argv)
     summary.pointsPriced = pointsPriced;
     summary.failures = report.size();
     summary.wallSeconds = wall;
-    if (isolate)
+    if (const SupervisedSweep *sup = ex.supervision())
         summary.supervisorJson =
-            supervisorTimelinesJson(supStats, supTimeline);
+            supervisorTimelinesJson(sup->stats, sup->timeline);
     telemetry.finish(argc, argv, summary);
     return 0; // --profile dumps via applyStandardFlags's exit hook
 }

@@ -40,6 +40,8 @@
  * "tlc-sweep-request-v1" document and prints the canonical response
  * to stdout — the same schema (and the same bytes) the tlcd daemon
  * serves; --stats-out=FILE writes the run's cache-hit accounting.
+ * Only the persistence flags, --progress and the standard flags
+ * combine with it; any other flag is fatal.
  */
 
 #include <chrono>
@@ -91,39 +93,17 @@ listCatalog()
     t.printAscii(std::cout);
 }
 
-int
-runScatter(const FigureSpec &f, std::uint64_t refs, bool csv,
-           bool progress, std::shared_ptr<SweepCache> store,
-           const SupervisorOptions *sopts, std::size_t *points_priced,
-           SupervisionStats *sup_stats,
-           std::vector<ShardTimeline> *sup_timeline)
+/** Print the scatter figure @p f; returns the points priced. */
+std::size_t
+runScatter(const FigureSpec &f, Explorer &ex, bool csv, bool progress)
 {
-    EvaluatorOptions evopts;
-    evopts.traceRefs = refs;
-    evopts.resultStore = std::move(store);
-    MissRateEvaluator ev(evopts);
-    Explorer ex(ev);
-    // The supervisor is inherently fail-soft, so the isolated path
-    // collects skips in a report and summarises them at the end; the
-    // in-process path keeps its classic fatal-on-failure behaviour.
+    // Fail-soft: a point the supervisor quarantines is summarised at
+    // the end instead of ending the figure run.
     FailureReport report;
     std::printf("%s: %s\n", f.id.c_str(), f.title.c_str());
     std::printf("assumptions: %s\n\n", f.assume.toString().c_str());
 
-    auto sweepSpace = [&](Benchmark b, bool two_level) {
-        if (!sopts)
-            return ex.sweep(b, f.assume, true, two_level);
-        SupervisedSweep sw = supervisedEvaluateAll(
-            ex, b, DesignSpace::enumerate(f.assume, true, two_level),
-            &report, *sopts);
-        sup_stats->accumulate(sw.stats);
-        sup_timeline->insert(
-            sup_timeline->end(),
-            std::make_move_iterator(sw.timeline.begin()),
-            std::make_move_iterator(sw.timeline.end()));
-        return std::move(sw.points);
-    };
-
+    std::size_t priced = 0;
     for (Benchmark b : f.workloads) {
         const char *name = Workloads::info(b).name;
         if (progress)
@@ -132,8 +112,8 @@ runScatter(const FigureSpec &f, std::uint64_t refs, bool csv,
         // Figures 3-4 are single-level only; everything else sweeps
         // the full space.
         bool single_only = f.benchTarget == "bench_fig03_04_single_level";
-        auto points = sweepSpace(b, !single_only);
-        *points_priced += points.size();
+        auto points = ex.sweep(b, f.assume, true, !single_only, &report);
+        priced += points.size();
         Table t({"workload", "config", "area_rbe", "tpi_ns"});
         for (const auto &p : points) {
             t.beginRow();
@@ -149,8 +129,8 @@ runScatter(const FigureSpec &f, std::uint64_t refs, bool csv,
 
         Envelope best = Explorer::envelopeOf(points);
         if (f.compareSingleLevel && !single_only && !csv) {
-            Envelope single =
-                Explorer::envelopeOf(sweepSpace(b, false));
+            Envelope single = Explorer::envelopeOf(
+                ex.sweep(b, f.assume, true, false, &report));
             ScatterPlot plot(72, 18, true, true);
             plot.setYLabel(std::string(name) + "  [TPI ns, log]");
             plot.setXLabel("area (rbe, log)");
@@ -166,7 +146,7 @@ runScatter(const FigureSpec &f, std::uint64_t refs, bool csv,
     }
     if (!report.empty())
         std::fputs(report.summary().c_str(), stderr);
-    return 0;
+    return priced;
 }
 
 } // namespace
@@ -178,7 +158,7 @@ main(int argc, char **argv)
     applyStandardFlags(args);
     cli::SweepFlags flags = cli::sweepFlagsFromArgs(args, 1000000);
     // Service mode: the whole run is described by the request
-    // document; the figure catalog does not apply.
+    // document; sweepFlagsFromArgs rejected the figure flags.
     if (!flags.requestFile.empty())
         return service::runRequestCli(flags);
 
@@ -192,28 +172,26 @@ main(int argc, char **argv)
     bool progress = flags.progress;
     SupervisorOptions sopts;
     const bool isolate = supervisorOptionsFromArgs(args, &sopts);
-    // One store handle in either mode: supervised workers only simulate.
-    std::shared_ptr<SweepCache> store;
+    EvaluatorOptions evopts;
+    evopts.traceRefs = refs;
     if (!flags.resultStore.empty()) {
-        store = std::make_shared<SweepCache>();
+        evopts.resultStore = std::make_shared<SweepCache>();
         ResultStoreOptions ro;
         ro.fsyncOnCommit = flags.storeFsync;
-        Status s = store->open(flags.resultStore, ro);
+        Status s = evopts.resultStore->open(flags.resultStore, ro);
         if (!s.ok())
             fatal("result store: %s", s.message().c_str());
     }
+    MissRateEvaluator ev(evopts);
+    Explorer ex(ev);
+    ex.setIsolation(isolate ? &sopts : nullptr);
     cli::TelemetrySession telemetry(flags);
 
     auto runStart = std::chrono::steady_clock::now();
     std::size_t pointsPriced = 0;
-    SupervisionStats supStats;
-    std::vector<ShardTimeline> supTimeline;
-    int rc = 0;
     switch (f.kind) {
       case ExhibitKind::TpiScatter:
-        rc = runScatter(f, refs, csv, progress, store,
-                        isolate ? &sopts : nullptr, &pointsPriced,
-                        &supStats, &supTimeline);
+        pointsPriced = runScatter(f, ex, csv, progress);
         break;
       case ExhibitKind::Table:
       case ExhibitKind::TimingCurve:
@@ -232,9 +210,9 @@ main(int argc, char **argv)
     summary.traceRefs = refs;
     summary.pointsPriced = pointsPriced;
     summary.wallSeconds = wall;
-    if (isolate)
+    if (const SupervisedSweep *sup = ex.supervision())
         summary.supervisorJson =
-            supervisorTimelinesJson(supStats, supTimeline);
+            supervisorTimelinesJson(sup->stats, sup->timeline);
     telemetry.finish(argc, argv, summary);
-    return rc; // --profile dumps via applyStandardFlags's exit hook
+    return 0; // --profile dumps via applyStandardFlags's exit hook
 }

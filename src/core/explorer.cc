@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "cache/sim_group.hh"
+#include "core/shard_runner.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
 #include "util/parallel.hh"
@@ -247,6 +248,8 @@ Explorer::Explorer(MissRateEvaluator &evaluator,
 {
 }
 
+Explorer::~Explorer() = default;
+
 const TimingResult &
 Explorer::timingOf(std::uint64_t size_bytes, std::uint32_t assoc,
                    std::uint32_t line_bytes)
@@ -382,53 +385,81 @@ Explorer::setProgressCallback(ProgressCallback cb,
         min_interval_seconds < 0.0 ? 0.0 : min_interval_seconds;
 }
 
-bool
-Explorer::preflightTrace(Benchmark b, FailureReport *report)
+void
+Explorer::setIsolation(const SupervisorOptions *opts)
 {
-    // With a result store the preflight is skipped (a warm sweep must
-    // not load the trace); the collector collapses that failure to
-    // one entry instead.
-    if (evaluator_.hasResultStore())
-        return true;
-    Expected<const TraceBuffer *> t = evaluator_.tryTrace(b);
-    if (t.ok())
-        return true;
-    if (!report) {
-        fatal("benchmark '%s': %s", Workloads::info(b).name,
-              t.status().message().c_str());
-    }
-    report->add(std::string("benchmark ") + Workloads::info(b).name,
-                t.status());
-    return false;
+    isolate_ = opts ? std::make_unique<SupervisorOptions>(*opts) : nullptr;
+    supervision_ = opts ? std::make_unique<SupervisedSweep>() : nullptr;
 }
 
 std::vector<DesignPoint>
 Explorer::evaluateAll(Benchmark b, const std::vector<SystemConfig> &configs,
                       FailureReport *report)
 {
-    std::vector<DesignPoint> out;
-    if (configs.empty() || !preflightTrace(b, report))
-        return out;
+    return sweepBody(b, configs, report, isolate_.get(), supervision_.get());
+}
+
+std::vector<DesignPoint>
+Explorer::sweepBody(Benchmark b, const std::vector<SystemConfig> &configs,
+                    FailureReport *report, const SupervisorOptions *isolate,
+                    SupervisedSweep *supervision)
+{
+    if (configs.empty())
+        return {};
+    // An unloadable trace fails every point the same way, so without
+    // a store it is loaded up front, and one that cannot load is
+    // reported once and prices nothing. With a store the preflight
+    // is skipped (a warm sweep must not load the trace); the
+    // collector collapses that failure to one entry instead.
+    if (!evaluator_.hasResultStore()) {
+        Expected<const TraceBuffer *> t = evaluator_.tryTrace(b);
+        if (!t.ok()) {
+            if (!report) {
+                fatal("benchmark '%s': %s", Workloads::info(b).name,
+                      t.status().message().c_str());
+            }
+            report->add(std::string("benchmark ") + Workloads::info(b).name,
+                        t.status());
+            return {};
+        }
+    }
 
     SweepCollector collector(*this, b, configs, report);
     const MissResolution &pending = collector.resolve();
-
-    // One slice per simulation pass (the collector adds one per
-    // design point) when the trace-event recorder is on.
-    TraceEventRecorder *recorder = TraceEventRecorder::active();
-    const char *benchName = Workloads::info(b).name;
 
     // planSweep packs whole L1 groups into one bin per worker; each
     // pass of a bin is one trace pass. The plan cannot affect results
     // — every lane carries its own tag state and replacement RNG
     // stream, exactly as a standalone Hierarchy would — and the
     // collector orders results by input index, so the sweep is
-    // byte-identical to a serial one whatever the worker count.
-    // Simulated points reach the collector, and the progress
-    // callback, a pass at a time.
-    const std::vector<SweepBin> bins =
-        planSweep(pending.lanes, parallelWorkerCount());
+    // byte-identical to a serial one whatever the worker count or
+    // pass runner. Every pass simulates the one trace, so it is
+    // loaded before the first (forked workers inherit it); a trace
+    // that cannot load fails every lane, and no pass runs.
+    const Expected<const TraceBuffer *> trace =
+        pending.lanes.empty() ? nullptr : evaluator_.tryTrace(b);
+    std::vector<SweepBin> bins;
+    if (trace.ok()) {
+        bins = planSweep(pending.lanes, parallelWorkerCount(),
+                         isolate ? std::max<std::size_t>(
+                                       1, isolate->pointsPerShard)
+                                 : kMaxPassConfigs);
+    }
+    for (std::size_t lane = 0; !trace.ok() && lane < pending.lanes.size();
+         ++lane)
+        collector.recordLane(lane, trace.status());
+    if (isolate) {
+        superviseBins(evaluator_, b, configs, pending, bins, *isolate,
+                      collector, *supervision);
+        return collector.finish();
+    }
 
+    // One slice per simulation pass (the collector adds one per
+    // design point) when the trace-event recorder is on. Simulated
+    // points reach the collector, and the progress callback, a pass
+    // at a time.
+    TraceEventRecorder *recorder = TraceEventRecorder::active();
+    const char *benchName = Workloads::info(b).name;
     parallelFor(bins.size(), [&](std::size_t bi) {
         for (const SweepPass &pass : bins[bi].passes) {
             std::vector<SystemConfig> batch;

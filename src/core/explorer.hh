@@ -10,21 +10,23 @@
  * complete — one corrupt trace byte must not abort a multi-hour
  * multi-hundred-point run.
  *
- * Sweeps are benchmark-major and batched, one pipeline for every
- * executor (SweepCollector): the memo and result store answer what
- * they can, planSweep packs the rest into bins of whole shared-L1
- * groups, and each pass of a bin simulates in ONE pass over the
- * benchmark trace instead of once per design point. evaluateAll()
- * runs one bin per worker of the parallelFor team (util/parallel.hh,
- * TLC_THREADS or --threads control the width); supervisedEvaluateAll
- * (core/shard_runner.hh) plans as many bins and runs each pass in a
- * forked worker, one live worker per bin. Results are
+ * Sweeps are benchmark-major and batched, and every sweep runs one
+ * body (Explorer::evaluateAll): the memo and result store answer
+ * what they can (SweepCollector), planSweep packs the rest into one
+ * bin of whole shared-L1 groups per worker (parallelWorkerCount(),
+ * TLC_THREADS or --threads), and each pass of a bin simulates in ONE
+ * pass over the benchmark trace instead of once per design point.
+ * The body has two pass runners, chosen at setup
+ * (Explorer::setIsolation): the parallelFor worker team
+ * (util/parallel.hh), or forked workers under a supervisor
+ * (core/shard_runner.hh), one live worker per bin. Results are
  * deterministic: simulation lanes are fully independent, and the
  * output vector, the envelope, and the FailureReport are ordered by
- * input index regardless of the plan or worker completion order,
- * so a batched parallel sweep produces byte-identical figure data to
- * a serial one (enforced by
- * tests/test_parallel_differential.cc and tests/test_batch_engine.cc).
+ * input index regardless of the plan, the runner or worker
+ * completion order, so a batched parallel sweep produces
+ * byte-identical figure data to a serial one (enforced by
+ * tests/test_parallel_differential.cc, tests/test_batch_engine.cc
+ * and tests/test_supervisor.cc).
  */
 
 #ifndef TLC_CORE_EXPLORER_HH
@@ -34,6 +36,7 @@
 #include <chrono>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -49,6 +52,9 @@
 #include "util/status.hh"
 
 namespace tlc {
+
+struct SupervisedSweep;   // core/shard_runner.hh
+struct SupervisorOptions; // core/shard_runner.hh
 
 /** One fully-priced design point. */
 struct DesignPoint
@@ -226,6 +232,7 @@ class Explorer
     explicit Explorer(MissRateEvaluator &evaluator,
                       const AccessTimeModel &timing = AccessTimeModel{},
                       const AreaModel &area = AreaModel{});
+    ~Explorer();
 
     /**
      * The memo key of (size, assoc, line). The full triple is the
@@ -269,16 +276,17 @@ class Explorer
     /**
      * Price an explicit configuration list benchmark-major: what the
      * memo and store do not answer is planned into one bin of whole
-     * L1 groups per worker (planSweep), bins run across the
-     * parallelFor worker team, and each bin shares one pass over the
-     * benchmark trace (more than kMaxPassConfigs configs take
-     * several). The output vector is
-     * ordered by input index whatever the plan, and with @p report,
-     * failed points are recorded there in input order and skipped
-     * (fail-soft); without it, a failure is fatal as in the classic
-     * API (the lowest-index failure is the one reported). A
-     * benchmark whose trace cannot be loaded is reported once, not
-     * once per configuration.
+     * L1 groups per worker (planSweep), and each pass of a bin shares
+     * one pass over the benchmark trace. The bins run on the
+     * parallelFor worker team (passes of at most kMaxPassConfigs
+     * configs), or in forked workers after setIsolation (passes of
+     * at most pointsPerShard). The output vector is ordered by input
+     * index whatever the plan, and with @p report, failed points are
+     * recorded there in input order and skipped (fail-soft); without
+     * it, a failure — a quarantined point included — is fatal as in
+     * the classic API (the lowest-index failure is the one
+     * reported). A benchmark whose trace cannot be loaded is
+     * reported once, not once per configuration.
      */
     std::vector<DesignPoint> evaluateAll(
         Benchmark b, const std::vector<SystemConfig> &configs,
@@ -318,17 +326,17 @@ class Explorer
     void setProgressCallback(ProgressCallback cb,
                              double min_interval_seconds = 0.25);
 
-    MissRateEvaluator &evaluator() { return evaluator_; }
-
     /**
-     * The preflight of every sweep executor: an unloadable trace
-     * fails every point the same way, so without a result store load
-     * @p b's trace up front, and when it cannot load report the
-     * benchmark once ("benchmark <name>"; fatal without @p report)
-     * and return false — the sweep then prices nothing. With a store
-     * it returns true untried.
+     * Run later sweeps' passes in forked workers under @p opts
+     * (copied; core/shard_runner.hh), or with nullptr on the worker
+     * team (the default). Setup-time API like setProgressCallback;
+     * each call starts a fresh supervision() tally.
      */
-    bool preflightTrace(Benchmark b, FailureReport *report);
+    void setIsolation(const SupervisorOptions *opts);
+
+    /** The supervised sweeps' summed stats and shard timelines
+     *  since setIsolation (no points), or null on the worker team. */
+    const SupervisedSweep *supervision() const { return supervision_.get(); }
 
     /**
      * Assemble a DesignPoint from already-computed miss statistics:
@@ -341,6 +349,18 @@ class Explorer
 
   private:
     friend class SweepCollector;
+    friend SupervisedSweep
+    supervisedEvaluateAll(Explorer &ex, Benchmark b,
+                          const std::vector<SystemConfig> &configs,
+                          FailureReport *report,
+                          const SupervisorOptions &opts);
+
+    /** The one sweep body: the passes run on the worker team, or
+     *  with @p isolate in forked workers, tallied in @p supervision. */
+    std::vector<DesignPoint> sweepBody(
+        Benchmark b, const std::vector<SystemConfig> &configs,
+        FailureReport *report, const SupervisorOptions *isolate,
+        SupervisedSweep *supervision);
 
     MissRateEvaluator &evaluator_;
     AccessTimeModel timing_;
@@ -349,16 +369,19 @@ class Explorer
     std::map<TimingKey, TimingResult> timingCache_;
     ProgressCallback progress_;
     double progressIntervalSeconds_ = 0.25;
+    std::unique_ptr<SupervisorOptions> isolate_;
+    std::unique_ptr<SupervisedSweep> supervision_;
 };
 
 /**
- * The pipeline every sweep executor shares, one per benchmark sweep:
+ * The collection step of the sweep body, one per benchmark sweep:
  * resolve, then remember, price and record each simulated lane as it
  * arrives, then collect — per-index slots, the progress throttle, and
  * the rule that turns slots into points plus FailureReport entries.
- * Executors only plan and simulate the lanes: evaluateAll on the
- * worker team, the supervisor (core/shard_runner.hh) in forked
- * workers. Constructing one counts a sweep (explore.sweeps).
+ * Explorer::evaluateAll drives it; its pass runners (the worker team,
+ * or the supervisor of core/shard_runner.hh in forked workers) only
+ * simulate lanes and record them. Constructing one counts a sweep
+ * (explore.sweeps).
  */
 class SweepCollector
 {

@@ -1,9 +1,10 @@
 /**
  * @file
  * Shard-runner implementation: the worker-side simulate-and-report
- * loop and the parent-side retry/bisect/quarantine state machine,
- * which runs the same SweepCollector as Explorer::evaluateAll so
- * supervised output stays byte-identical to it.
+ * loop and the parent-side retry/bisect/quarantine state machine
+ * that runs the passes Explorer::evaluateAll planned, recording into
+ * its SweepCollector so supervised output stays byte-identical to
+ * the worker team's.
  */
 
 #include "shard_runner.hh"
@@ -28,7 +29,6 @@
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
-#include "util/parallel.hh"
 #include "util/profiler.hh"
 #include "util/trace_event.hh"
 #include "util/wire.hh"
@@ -36,40 +36,6 @@
 namespace tlc {
 
 namespace {
-
-/** Shard-level supervision metrics (per-worker ones live in
- *  util/supervisor.cc as supervisor.worker.*). */
-struct ShardMetrics
-{
-    MetricCounter &sweeps;
-    MetricCounter &shards;
-    MetricCounter &retries;
-    MetricCounter &bisections;
-    MetricCounter &quarantined;
-    MetricCounter &backoffWaits;
-    MetricCounter &metricFrames;
-    MetricCounter &phaseFrames;
-    MetricCounter &eventFrames;
-    MetricCounter &flightFrames;
-
-    static ShardMetrics &get()
-    {
-        auto &r = MetricsRegistry::global();
-        static ShardMetrics m{
-            r.counter("supervisor.sweeps"),
-            r.counter("supervisor.shards"),
-            r.counter("supervisor.retries"),
-            r.counter("supervisor.bisections"),
-            r.counter("supervisor.quarantined"),
-            r.counter("supervisor.backoff_waits"),
-            r.counter("supervisor.telemetry.metric_frames"),
-            r.counter("supervisor.telemetry.phase_frames"),
-            r.counter("supervisor.telemetry.event_frames"),
-            r.counter("supervisor.telemetry.flight_frames"),
-        };
-        return m;
-    }
-};
 
 /**
  * Sweep-unique worker attempt serial: the <id> of the telemetry
@@ -511,27 +477,15 @@ class ShardSupervisor
     {
     }
 
-    void run()
+    /** Run @p plan's passes over @p pending's lanes as shards, then
+     *  add what it took to @p out (timeline in plan order: bin, then
+     *  pass, a bisected shard before its halves). */
+    void run(const MissResolution &pending,
+             const std::vector<SweepBin> &plan, SupervisedSweep &out)
     {
-        ShardMetrics::get().sweeps.inc();
-        const MissResolution &pending = collector_.resolve();
-        if (pending.lanes.empty())
-            return;
-        // Workers simulate the parent's own trace, inherited copy on
-        // write: load it once, before the first fork. A trace that
-        // cannot load fails every lane here, and nothing forks.
-        const Expected<const TraceBuffer *> trace = ev_.tryTrace(bench_);
-        if (!trace.ok()) {
-            for (std::size_t lane = 0; lane < pending.lanes.size(); ++lane)
-                collector_.recordLane(lane, trace.status());
-            return;
-        }
         laneOf_.assign(configs_.size(), kNoLane);
         for (std::size_t lane = 0; lane < pending.lanes.size(); ++lane)
             laneOf_[pending.slots[lane].front()] = lane;
-        const std::vector<SweepBin> plan =
-            planSweep(pending.lanes, parallelWorkerCount(),
-                      std::max<std::size_t>(1, opts_.pointsPerShard));
         bins_ = std::vector<Bin>(plan.size());
         for (std::size_t bi = 0; bi < plan.size(); ++bi) {
             for (const SweepPass &pass : plan[bi].passes) {
@@ -544,17 +498,31 @@ class ShardSupervisor
         }
         while (pollOnce()) {
         }
-        // Plan order: bin, then pass, a bisected shard before its
-        // halves — whichever bin finished first.
         for (Bin &bin : bins_) {
-            timeline_.insert(timeline_.end(),
-                             std::make_move_iterator(bin.timeline.begin()),
-                             std::make_move_iterator(bin.timeline.end()));
+            out.timeline.insert(
+                out.timeline.end(),
+                std::make_move_iterator(bin.timeline.begin()),
+                std::make_move_iterator(bin.timeline.end()));
         }
+        // The registry's supervisor.* counters are this tally's
+        // running sum, added once per sweep.
+        auto &reg = MetricsRegistry::global();
+        reg.counter("supervisor.sweeps").inc();
+        reg.counter("supervisor.shards").inc(stats_.shards);
+        reg.counter("supervisor.retries").inc(stats_.retries);
+        reg.counter("supervisor.bisections").inc(stats_.bisections);
+        reg.counter("supervisor.quarantined").inc(stats_.quarantined);
+        reg.counter("supervisor.backoff_waits").inc(stats_.backoffWaits);
+        reg.counter("supervisor.telemetry.metric_frames")
+            .inc(stats_.metricFrames);
+        reg.counter("supervisor.telemetry.phase_frames")
+            .inc(stats_.phaseFrames);
+        reg.counter("supervisor.telemetry.event_frames")
+            .inc(stats_.eventFrames);
+        reg.counter("supervisor.telemetry.flight_frames")
+            .inc(stats_.flightFrames);
+        out.stats.accumulate(stats_);
     }
-
-    SupervisionStats &stats() { return stats_; }
-    std::vector<ShardTimeline> &timeline() { return timeline_; }
 
   private:
     /** A shard waiting in, or running from, the front of its bin's
@@ -651,7 +619,6 @@ class ShardSupervisor
         Job &job = bin.queue.front();
         if (job.attempt == 0) {
             ++stats_.shards;
-            ShardMetrics::get().shards.inc();
             job.timeline = bin.timeline.size();
             ShardTimeline tl;
             tl.firstIndex = job.pending.front();
@@ -718,7 +685,6 @@ class ShardSupervisor
                 return;
             }
             ++stats_.metricFrames;
-            ShardMetrics::get().metricFrames.inc();
             return;
         case kTagPhases:
             if (!mergePhasesFrame(payload)) {
@@ -726,7 +692,6 @@ class ShardSupervisor
                 return;
             }
             ++stats_.phaseFrames;
-            ShardMetrics::get().phaseFrames.inc();
             return;
         case kTagEvents: {
             std::vector<TraceEvent> events;
@@ -735,7 +700,6 @@ class ShardSupervisor
                 return;
             }
             ++stats_.eventFrames;
-            ShardMetrics::get().eventFrames.inc();
             if (TraceEventRecorder *r = TraceEventRecorder::active()) {
                 char name[96];
                 std::snprintf(name, sizeof name,
@@ -752,7 +716,6 @@ class ShardSupervisor
                 return;
             }
             ++stats_.flightFrames;
-            ShardMetrics::get().flightFrames.inc();
             at.flight = std::move(info);
             return;
         }
@@ -838,11 +801,9 @@ class ShardSupervisor
             return;
         }
         ++stats_.retries;
-        ShardMetrics::get().retries.inc();
         const double wait =
             opts_.retry.backoffSeconds(job.attempt, tl.firstIndex);
         ++stats_.backoffWaits;
-        ShardMetrics::get().backoffWaits.inc();
         stats_.backoffSeconds += wait;
         tl.attempts.back().backoffSeconds = wait;
         if (Profiler::global().enabled()) {
@@ -880,11 +841,6 @@ class ShardSupervisor
         if (pending.size() == 1) {
             const std::uint32_t idx = pending.front();
             ++stats_.quarantined;
-            ShardMetrics::get().quarantined.inc();
-            const StatusCode code =
-                outcome.kind == WorkerOutcome::Kind::Timeout
-                    ? StatusCode::WorkerTimeout
-                    : StatusCode::WorkerCrash;
             // The flight recorder says what the worker was doing
             // when it died; put that in the quarantine entry so the
             // report explains *why*, not just which point.
@@ -899,14 +855,13 @@ class ShardSupervisor
                 flightCtx += flight->phase;
                 flightCtx += "'";
             }
+            char context[64];
+            std::snprintf(context, sizeof context,
+                          "point quarantined after %d attempt(s)",
+                          1 + std::max(0, opts_.retry.maxRetries));
+            const Status died = outcome.toStatus(context);
             collector_.recordLane(
-                laneOf_[idx],
-                statusf(code,
-                        "isolated worker %s; point quarantined after %d "
-                        "attempt(s)%s",
-                        outcome.detail.c_str(),
-                        1 + std::max(0, opts_.retry.maxRetries),
-                        flightCtx.c_str()));
+                laneOf_[idx], Status(died.code(), died.message() + flightCtx));
             warn("supervisor: quarantined design point %s (%s%s)",
                  configs_[idx].label().c_str(), outcome.detail.c_str(),
                  flightCtx.c_str());
@@ -916,7 +871,6 @@ class ShardSupervisor
         // point is poisoned: split it and give each half a fresh
         // retry budget. log2(points) rounds isolate one bad point.
         ++stats_.bisections;
-        ShardMetrics::get().bisections.inc();
         const std::size_t mid = pending.size() / 2;
         Job lo, hi;
         lo.pending.assign(pending.begin(), pending.begin() + mid);
@@ -935,12 +889,23 @@ class ShardSupervisor
     std::vector<std::size_t> laneOf_; ///< first index -> pending lane
     std::vector<Bin> bins_;
     SupervisionStats stats_;
-    std::vector<ShardTimeline> timeline_;
     std::vector<int> faultFired_;
     Clock::time_point start_;
 };
 
 } // namespace
+
+void
+superviseBins(MissRateEvaluator &ev, Benchmark b,
+              const std::vector<SystemConfig> &configs,
+              const MissResolution &pending,
+              const std::vector<SweepBin> &bins,
+              const SupervisorOptions &opts, SweepCollector &collector,
+              SupervisedSweep &supervision)
+{
+    ShardSupervisor(ev, b, configs, opts, collector)
+        .run(pending, bins, supervision);
+}
 
 SupervisedSweep
 supervisedEvaluateAll(Explorer &ex, Benchmark b,
@@ -952,15 +917,7 @@ supervisedEvaluateAll(Explorer &ex, Benchmark b,
                "supervisedEvaluateAll requires a FailureReport: "
                "process isolation exists to keep going fail-soft");
     SupervisedSweep out;
-    if (configs.empty() || !ex.preflightTrace(b, report))
-        return out;
-
-    SweepCollector collector(ex, b, configs, report);
-    ShardSupervisor sup(ex.evaluator(), b, configs, opts, collector);
-    sup.run();
-    out.stats = sup.stats();
-    out.timeline = std::move(sup.timeline());
-    out.points = collector.finish();
+    out.points = ex.sweepBody(b, configs, report, &opts, &out);
     return out;
 }
 

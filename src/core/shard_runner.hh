@@ -4,19 +4,18 @@
  * forked worker subprocesses, survive worker crashes/hangs, and
  * quarantine the specific design points that keep killing workers.
  *
- * The in-process engine (Explorer::evaluateAll) is fast but shares
- * its fate with every design point it simulates: one wild pointer in
- * a simulation lane, one pathological configuration that loops
- * forever, and the whole multi-hour sweep dies. This layer trades a
- * fork() per shard for blast-radius containment. The pipeline is
- * Explorer::evaluateAll's (SweepCollector, planSweep): the parent
- * resolves what its memo and store answer, loads the trace once, and
- * plans the rest into one bin per worker (parallelWorkerCount(), the
- * same --threads/TLC_THREADS width as in process). A shard is one
- * planned pass of at most pointsPerShard configs of whole L1 groups.
- * Each bin runs its shards one after another, each in a forked worker
- * that simulates the trace it inherited copy on write; the bins run
- * side by side, all driven by one poll() loop on the calling thread:
+ * The in-process engine is fast but shares its fate with every
+ * design point it simulates: one wild pointer in a simulation lane,
+ * one pathological configuration that loops forever, and the whole
+ * multi-hour sweep dies. This layer trades a fork() per shard for
+ * blast-radius containment: it is the second pass runner of the one
+ * sweep body, Explorer::evaluateAll (Explorer::setIsolation picks
+ * it), which resolves, loads the trace and plans one bin per worker
+ * as for the worker team. A shard is one planned pass of at most
+ * pointsPerShard configs of whole L1 groups. Each bin runs its
+ * shards one after another, each in a forked worker that simulates
+ * the trace it inherited copy on write; the bins run side by side,
+ * all driven by one poll() loop on the calling thread:
  *
  *   bin: next shard ──▶ worker simulates it out of process
  *    │                      │ crash / hang / torn stream
@@ -49,9 +48,10 @@
  * --inject-* flags on design_explorer/figure_runner.
  *
  * Observability: shard attempts count under the "supervisor.shard"
- * profiler phase, backoff waits under "supervisor.backoff", and
- * sweeps tick supervisor.{sweeps,shards,retries,bisections,
- * quarantined,backoff_waits} next to the per-worker
+ * profiler phase, backoff waits under "supervisor.backoff", and each
+ * sweep adds its SupervisionStats to supervisor.{sweeps,shards,
+ * retries,bisections,quarantined,backoff_waits} and
+ * supervisor.telemetry.*_frames when it ends, next to the per-worker
  * supervisor.worker.* counters.
  *
  * Cross-process telemetry (docs/observability.md): before its Done
@@ -127,8 +127,8 @@ struct SupervisorOptions
     /** Retry budget and backoff pacing per shard. */
     RetryPolicy retry;
     /** No longer read: workers simulate the parent evaluator's own
-     *  trace, inherited across fork. Kept until the callers that
-     *  still set it stop doing so. */
+     *  trace, inherited across fork. Kept for bench/layers, which
+     *  still sets it. */
     EvaluatorOptions evaluator;
     /** Deterministic fault injection (tests and recovery drills). */
     ShardFaultPlan faults;
@@ -153,7 +153,7 @@ struct SupervisionStats
     std::uint64_t eventFrames = 0;  ///< worker trace-slice frames
     std::uint64_t flightFrames = 0; ///< flight-recorder frames
 
-    /** Fold another sweep's stats in (drivers aggregate scenarios). */
+    /** Fold another sweep's stats in (Explorer::supervision()). */
     void accumulate(const SupervisionStats &other);
 };
 
@@ -208,17 +208,23 @@ supervisorTimelinesJson(const SupervisionStats &stats,
                         const std::vector<ShardTimeline> &timeline);
 
 /**
- * Price @p configs on @p b like Explorer::evaluateAll, but simulate
- * every shard in a forked worker subprocess under @p opts, up to
- * parallelWorkerCount() of them at once (one, inside a parallelFor
- * body). A trace that cannot load is reported as evaluateAll reports
- * it, and no worker is forked. Failed
- * points land in @p report exactly as the in-process engine would
- * record them, plus quarantined points (repeated worker death) as
- * WorkerCrash/WorkerTimeout entries. Progress goes to @p ex's
- * callback (Explorer::setProgressCallback), throttled per result
- * frame like the in-process engine. @p report is required: a
- * supervisor exists to keep going, which only makes sense fail-soft.
+ * Explorer::evaluateAll's forked-worker pass runner: run each pass of
+ * @p bins (planned over @p pending's lanes) as a shard under @p opts,
+ * recording into @p collector, and add what it took to
+ * @p supervision. @p b's trace must be loaded: workers inherit it.
+ */
+void superviseBins(MissRateEvaluator &ev, Benchmark b,
+                   const std::vector<SystemConfig> &configs,
+                   const MissResolution &pending,
+                   const std::vector<SweepBin> &bins,
+                   const SupervisorOptions &opts,
+                   SweepCollector &collector, SupervisedSweep &supervision);
+
+/**
+ * One sweep of Explorer::evaluateAll's body in forked workers under
+ * @p opts, whatever @p ex's own setIsolation, with its stats and
+ * timeline. Kept for bench/layers, which calls it; drivers use
+ * Explorer::setIsolation. @p report is required.
  */
 SupervisedSweep
 supervisedEvaluateAll(Explorer &ex, Benchmark b,

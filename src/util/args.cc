@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <set>
 
 #include "logging.hh"
 #include "metrics.hh"
@@ -145,6 +146,15 @@ sweepFlagsFromArgs(const ArgParser &args, std::int64_t default_refs)
     f.requestFile = args.getString("request");
     f.statsOut = args.getString("stats-out");
 
+    // Request mode runs the request document alone: a flag it would
+    // silently drop is an error, not a no-op.
+    static const std::set<std::string> kRequestFlags = {
+        "request", "stats-out", "result-store", "resume", "store-fsync",
+        "progress", "threads", "quiet", "verbose", "profile"};
+    for (const std::string &key : args.keys()) {
+        if (!f.requestFile.empty() && !kRequestFlags.count(key))
+            fatal("--%s does not apply with --request", key.c_str());
+    }
     if (f.resume && f.resultStore.empty())
         fatal("--resume requires --result-store=FILE");
     if (f.resume && !std::filesystem::exists(f.resultStore)) {

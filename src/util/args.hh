@@ -70,7 +70,10 @@ namespace cli {
  * decoding — happens in the calling binary or in
  * service/sweep_service.hh. sweepFlagsFromArgs() enforces the
  * cross-flag rules the drivers used to duplicate (--resume requires
- * --result-store and an existing file).
+ * --result-store and an existing file; with --request, any flag but
+ * --stats-out, --result-store, --resume, --store-fsync, --progress
+ * and the standard flags is fatal, since request mode would drop
+ * it).
  */
 struct SweepFlags
 {

@@ -82,3 +82,28 @@ TEST(ArgParser, DoubleParsing)
     auto a = parse({"prog", "--scale=0.25"});
     EXPECT_DOUBLE_EQ(a.getDouble("scale"), 0.25);
 }
+
+TEST(SweepFlags, RequestModeRejectsFlagsItWouldDrop)
+{
+    // The request document describes the whole run, so a sweep flag
+    // request mode never reads is fatal, naming the flag, instead of
+    // being silently dropped.
+    for (const char *stray :
+         {"--isolate=process", "--inject-crash-at=0", "--manifest=m.json",
+          "--trace-out=t.json", "--metrics-out=x.json", "--refs=100",
+          "--figure=fig05"}) {
+        SCOPED_TRACE(stray);
+        const std::string flag(stray, std::string(stray).find('='));
+        EXPECT_EXIT(cli::sweepFlagsFromArgs(
+                        parse({"prog", "--request=r.json", stray}), 1000),
+                    ::testing::ExitedWithCode(1),
+                    flag + " does not apply with --request");
+    }
+    const cli::SweepFlags f = cli::sweepFlagsFromArgs(
+        parse({"prog", "--request=r.json", "--stats-out=s.json",
+               "--result-store=s.tlrs", "--store-fsync", "--progress",
+               "--threads=2", "--quiet", "--verbose", "--profile"}),
+        1000);
+    EXPECT_EQ(f.requestFile, "r.json");
+    EXPECT_EQ(f.statsOut, "s.json");
+}

@@ -642,6 +642,49 @@ TEST(ShardRunner, WarmSupervisedSweepLaunchesNoWorker)
     std::remove(storePath.c_str());
 }
 
+TEST(ShardRunner, ExplorerIsolationSupervisesEverySweep)
+{
+    // A driver picks the pass runner once, at setup: every later
+    // sweep of the explorer runs in forked workers, prices what the
+    // worker team prices, and adds to one tally — here a cold sweep
+    // and a memo-answered one that forks nothing.
+    const auto grid = referenceGrid();
+    SweepResult clean = runInProcess(grid);
+    SweepResult once = runSupervised(grid, testOptions());
+
+    MissRateEvaluator ev(evaluatorOptions());
+    Explorer ex(ev);
+    EXPECT_EQ(ex.supervision(), nullptr);
+    const SupervisorOptions opts = testOptions();
+    ex.setIsolation(&opts);
+    ASSERT_NE(ex.supervision(), nullptr);
+    const MetricCounter &sweeps =
+        MetricsRegistry::global().counter("supervisor.sweeps");
+    const MetricCounter &shards =
+        MetricsRegistry::global().counter("supervisor.shards");
+    const std::uint64_t sweepsBefore = sweeps.value();
+    const std::uint64_t shardsBefore = shards.value();
+    for (int pass = 0; pass < 2; ++pass) {
+        SCOPED_TRACE(pass == 0 ? "cold" : "memo-answered");
+        FailureReport report;
+        SweepResult viaExplorer;
+        viaExplorer.points = ex.evaluateAll(Benchmark::Gcc1, grid, &report);
+        viaExplorer.failures = report.failures();
+        expectIdentical(clean, viaExplorer);
+    }
+    const SupervisedSweep &tally = *ex.supervision();
+    EXPECT_TRUE(tally.points.empty());
+    EXPECT_EQ(tally.stats.shards, once.stats.shards);
+    EXPECT_EQ(tally.stats.attempts, once.stats.attempts);
+    EXPECT_EQ(tally.timeline.size(), once.timeline.size());
+    // The registry holds the same tally, added once per sweep.
+    EXPECT_EQ(sweeps.value() - sweepsBefore, 2u);
+    EXPECT_EQ(shards.value() - shardsBefore, once.stats.shards);
+
+    ex.setIsolation(nullptr);
+    EXPECT_EQ(ex.supervision(), nullptr);
+}
+
 TEST(ShardRunner, ShardsArePlannedPassesOfWholeL1Groups)
 {
     // The paper's design space has L1 groups of 1 to 9 points; at 4

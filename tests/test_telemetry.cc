@@ -26,7 +26,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <sstream>
 #include <string>
@@ -352,6 +354,27 @@ TEST(Telemetry, HangQuarantineCarriesFlightContext)
               std::string::npos);
     EXPECT_NE(f.status.message().find(grid[12].label()),
               std::string::npos);
+}
+
+TEST(Telemetry, QuarantineMessageNamesTheWorkerOnce)
+{
+    // The one wording of a quarantine entry (docs/observability.md):
+    // the verdict, the worker's outcome, then its flight context.
+    const auto grid = referenceGrid();
+    SupervisorOptions opts = testOptions();
+    opts.pointsPerShard = 4;
+    opts.retry.maxRetries = 0;
+    opts.faults.faults.push_back(
+        fault(ShardFault::Kind::Crash, 12, -1));
+
+    RunOutput r = runSupervised(grid, opts);
+    ASSERT_EQ(r.failures.size(), 1u);
+    EXPECT_EQ(r.failures.front().status.message(),
+              "point quarantined after 1 attempt(s): worker killed by "
+              "signal " +
+                  std::to_string(SIGSEGV) + " (" + strsignal(SIGSEGV) +
+                  "); flight recorder (signal): last point '" +
+                  grid[12].label() + "' in phase 'report'");
 }
 
 // ---------------------------------------------------------------

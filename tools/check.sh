@@ -229,6 +229,27 @@ run_recovery() {
         }
     done
 
+    # figure_runner shares the one sweep body: its inclusive (fig05)
+    # and exclusive (fig22) figures must print the same bytes under
+    # isolation, and a worker that crashes once must not show.
+    for fig in fig05 fig22; do
+        build/examples/figure_runner --figure="$fig" --refs=30000 \
+            --quiet > "$rec_dir/$fig.inproc.txt"
+        build/examples/figure_runner --figure="$fig" --refs=30000 \
+            --quiet --isolate=process > "$rec_dir/$fig.isolate.txt"
+        cmp "$rec_dir/$fig.inproc.txt" "$rec_dir/$fig.isolate.txt" || {
+            echo "isolated figure_runner $fig differs from in-process" >&2
+            exit 1
+        }
+    done
+    build/examples/figure_runner --figure=fig05 --refs=30000 --quiet \
+        --isolate=process --inject-crash-at=12 --inject-times=1 \
+        > "$rec_dir/fig05.crash.txt"
+    cmp "$rec_dir/fig05.inproc.txt" "$rec_dir/fig05.crash.txt" || {
+        echo "transient worker crash leaked into figure_runner fig05" >&2
+        exit 1
+    }
+
     # SIGKILL the supervisor mid-sweep, then --resume against the
     # store it was appending to: the finished run must be
     # byte-identical, and must launch fewer workers than a cold run.
