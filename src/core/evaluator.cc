@@ -229,6 +229,7 @@ MissRateEvaluator::resolveMissStats(Benchmark b,
             auto it = results_.find(k);
             if (it != results_.end()) {
                 EvalMetrics::get().memoHits.inc();
+                ++r.memoHits;
                 r.answered[i].emplace(it->second);
                 continue;
             }
@@ -250,7 +251,10 @@ MissRateEvaluator::resolveMissStats(Benchmark b,
     // touches the trace, and its hits join the memo.
     std::size_t kept = 0;
     for (std::size_t lane = 0; lane < r.lanes.size(); ++lane) {
-        if (auto s = store_->lookup(storeKeyText(b, r.lanes[lane]))) {
+        SweepCacheOutcome outcome{};
+        if (auto s = store_->lookup(storeKeyText(b, r.lanes[lane]),
+                                    &outcome)) {
+            ++r.storeHits;
             {
                 std::lock_guard<std::mutex> lock(mu_);
                 results_.emplace(laneKeys[lane], *s);
@@ -259,6 +263,8 @@ MissRateEvaluator::resolveMissStats(Benchmark b,
                 r.answered[i].emplace(*s);
             continue;
         }
+        if (outcome == SweepCacheOutcome::Miss)
+            ++r.storeMisses;
         if (kept != lane) { // a self-move would empty the slots
             r.lanes[kept] = std::move(r.lanes[lane]);
             r.slots[kept] = std::move(r.slots[lane]);
@@ -286,7 +292,7 @@ MissRateEvaluator::simulateMissStats(Benchmark b,
     return {batch.stats.begin(), batch.stats.end()};
 }
 
-void
+bool
 MissRateEvaluator::rememberMissStats(Benchmark b, const SystemConfig &config,
                                      const HierarchyStats &stats)
 {
@@ -294,8 +300,7 @@ MissRateEvaluator::rememberMissStats(Benchmark b, const SystemConfig &config,
         std::lock_guard<std::mutex> lock(mu_);
         results_.emplace(key(b, config), stats);
     }
-    if (hasResultStore())
-        store_->store(storeKeyText(b, config), stats);
+    return hasResultStore() && store_->store(storeKeyText(b, config), stats);
 }
 
 } // namespace tlc

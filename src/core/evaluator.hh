@@ -131,6 +131,8 @@ struct EvaluatorOptions
  * resolveMissStats's answer: what check(), the memo or the store
  * answered, and the rest as lanes to simulate, one per unique memo
  * key (timing-only knobs share a key) in order of first appearance.
+ * The counts are this resolution's own ticks of
+ * explore.missrate_cache.hits and sweep_cache.{hits,misses}.
  */
 struct MissResolution
 {
@@ -138,6 +140,9 @@ struct MissResolution
     std::vector<std::optional<Expected<HierarchyStats>>> answered;
     std::vector<SystemConfig> lanes;
     std::vector<std::vector<std::size_t>> slots; ///< indices per lane
+    std::uint64_t memoHits = 0;    ///< indices the memo answered
+    std::uint64_t storeHits = 0;   ///< lanes the store answered
+    std::uint64_t storeMisses = 0; ///< lanes it lacked (stale ones aside)
 };
 
 /**
@@ -197,8 +202,9 @@ class MissRateEvaluator
         Benchmark b, std::span<const SystemConfig> configs);
 
     /** Stage three: insert @p stats into the memo, then append it to
-     *  the result store when one is attached. */
-    void rememberMissStats(Benchmark b, const SystemConfig &config,
+     *  the result store when one is attached; true when that append
+     *  succeeded. */
+    bool rememberMissStats(Benchmark b, const SystemConfig &config,
                            const HierarchyStats &stats);
 
     std::uint64_t traceRefs() const { return traceRefs_; }

@@ -396,16 +396,19 @@ std::vector<DesignPoint>
 Explorer::evaluateAll(Benchmark b, const std::vector<SystemConfig> &configs,
                       FailureReport *report)
 {
-    return sweepBody(b, configs, report, isolate_.get(), supervision_.get());
+    return sweepBody(b, configs, report, isolate_.get(), supervision_.get())
+        .points;
 }
 
-std::vector<DesignPoint>
+BenchmarkSweep
 Explorer::sweepBody(Benchmark b, const std::vector<SystemConfig> &configs,
                     FailureReport *report, const SupervisorOptions *isolate,
-                    SupervisedSweep *supervision)
+                    SupervisedSweep *supervision, unsigned threads,
+                    const ProgressCallback &progress,
+                    double progress_interval_seconds)
 {
     if (configs.empty())
-        return {};
+        return {b, {}};
     // An unloadable trace fails every point the same way, so without
     // a store it is loaded up front, and one that cannot load is
     // reported once and prices nothing. With a store the preflight
@@ -420,11 +423,17 @@ Explorer::sweepBody(Benchmark b, const std::vector<SystemConfig> &configs,
             }
             report->add(std::string("benchmark ") + Workloads::info(b).name,
                         t.status());
-            return {};
+            return {b, {}};
         }
     }
 
-    SweepCollector collector(*this, b, configs, report);
+    // The sweep's own width and progress, not the process's: the
+    // request's, else the process setting and the explorer's.
+    const unsigned workers = threads ? threads : parallelWorkerCount();
+    const bool own = static_cast<bool>(progress);
+    SweepCollector collector(
+        *this, b, configs, report, own ? progress : progress_,
+        own ? progress_interval_seconds : progressIntervalSeconds_);
     const MissResolution &pending = collector.resolve();
 
     // planSweep packs whole L1 groups into one bin per worker; each
@@ -440,7 +449,7 @@ Explorer::sweepBody(Benchmark b, const std::vector<SystemConfig> &configs,
         pending.lanes.empty() ? nullptr : evaluator_.tryTrace(b);
     std::vector<SweepBin> bins;
     if (trace.ok()) {
-        bins = planSweep(pending.lanes, parallelWorkerCount(),
+        bins = planSweep(pending.lanes, workers,
                          isolate ? std::max<std::size_t>(
                                        1, isolate->pointsPerShard)
                                  : kMaxPassConfigs);
@@ -460,7 +469,7 @@ Explorer::sweepBody(Benchmark b, const std::vector<SystemConfig> &configs,
     // at a time.
     TraceEventRecorder *recorder = TraceEventRecorder::active();
     const char *benchName = Workloads::info(b).name;
-    parallelFor(bins.size(), [&](std::size_t bi) {
+    parallelFor(bins.size(), workers, [&](std::size_t bi) {
         for (const SweepPass &pass : bins[bi].passes) {
             std::vector<SystemConfig> batch;
             batch.reserve(pass.indices.size());
@@ -495,49 +504,13 @@ Explorer::sweepBody(Benchmark b, const std::vector<SystemConfig> &configs,
 std::vector<BenchmarkSweep>
 Explorer::evaluateAll(const SweepRequest &request)
 {
-    // Scoped overrides: the request's thread width and progress
-    // callback are in effect for this call only, restored even when
-    // a body throws.
-    struct Scope
-    {
-        Explorer &ex;
-        const bool restoreWorkers;
-        const unsigned prevWorkers;
-        const bool restoreProgress;
-        ProgressCallback prevProgress;
-        double prevInterval;
-
-        Scope(Explorer &e, const SweepRequest &req)
-            : ex(e), restoreWorkers(req.threads != 0),
-              prevWorkers(parallelWorkerOverride()),
-              restoreProgress(static_cast<bool>(req.progress)),
-              prevProgress(e.progress_),
-              prevInterval(e.progressIntervalSeconds_)
-        {
-            if (restoreWorkers)
-                setParallelWorkerCount(req.threads);
-            if (restoreProgress) {
-                e.setProgressCallback(req.progress,
-                                      req.progressIntervalSeconds);
-            }
-        }
-
-        ~Scope()
-        {
-            if (restoreWorkers)
-                setParallelWorkerCount(prevWorkers);
-            if (restoreProgress) {
-                ex.progress_ = std::move(prevProgress);
-                ex.progressIntervalSeconds_ = prevInterval;
-            }
-        }
-    } scope(*this, request);
-
     std::vector<BenchmarkSweep> out;
     out.reserve(request.benchmarks.size());
     for (Benchmark b : request.benchmarks) {
-        out.push_back(
-            {b, evaluateAll(b, request.configs, request.report)});
+        out.push_back(sweepBody(b, request.configs, request.report,
+                                isolate_.get(), supervision_.get(),
+                                request.threads, request.progress,
+                                request.progressIntervalSeconds));
     }
     return out;
 }
@@ -569,8 +542,12 @@ Explorer::envelopeOf(const std::vector<DesignPoint> &points)
 
 SweepCollector::SweepCollector(Explorer &ex, Benchmark b,
                                const std::vector<SystemConfig> &configs,
-                               FailureReport *report)
+                               FailureReport *report,
+                               const Explorer::ProgressCallback &progress,
+                               double progress_interval_seconds)
     : ex_(ex), bench_(b), configs_(configs), report_(report),
+      progress_(progress),
+      progressIntervalSeconds_(std::max(0.0, progress_interval_seconds)),
       slots_(configs.size()), start_(std::chrono::steady_clock::now())
 {
     ExploreMetrics::get().sweeps.inc();
@@ -591,10 +568,9 @@ void
 SweepCollector::recordLane(std::size_t lane,
                            const Expected<HierarchyStats> &miss)
 {
-    if (miss.ok()) {
-        ex_.evaluator_.rememberMissStats(bench_, lanes_.lanes[lane],
-                                         miss.value());
-    }
+    if (miss.ok() && ex_.evaluator_.rememberMissStats(
+                         bench_, lanes_.lanes[lane], miss.value()))
+        appends_.fetch_add(1, std::memory_order_relaxed);
     for (std::size_t i : lanes_.slots[lane])
         record(i, miss);
 }
@@ -630,7 +606,7 @@ SweepCollector::record(std::size_t i, const Expected<HierarchyStats> &miss)
 void
 SweepCollector::fireProgress(std::size_t done_now, bool final)
 {
-    if (!ex_.progress_)
+    if (!progress_)
         return;
     const std::int64_t nowUs =
         std::chrono::duration_cast<std::chrono::microseconds>(
@@ -640,8 +616,8 @@ SweepCollector::fireProgress(std::size_t done_now, bool final)
         // One caller wins the CAS per throttle window; the rest skip.
         // The final update never skips, so a consumer always sees
         // done == total.
-        const std::int64_t intervalUs = static_cast<std::int64_t>(
-            ex_.progressIntervalSeconds_ * 1e6);
+        const std::int64_t intervalUs =
+            static_cast<std::int64_t>(progressIntervalSeconds_ * 1e6);
         std::int64_t last = lastFireUs_.load(std::memory_order_relaxed);
         if (last >= 0 && nowUs - last < intervalUs)
             return;
@@ -659,18 +635,19 @@ SweepCollector::fireProgress(std::size_t done_now, bool final)
                                    static_cast<double>(sp.total - done_now) /
                                    static_cast<double>(done_now)
                              : 0.0;
-    ex_.progress_(sp);
+    progress_(sp);
 }
 
-std::vector<DesignPoint>
+BenchmarkSweep
 SweepCollector::finish()
 {
     const std::size_t n = configs_.size();
     fireProgress(n, /*final=*/true);
 
     const char *benchName = Workloads::info(bench_).name;
-    std::vector<DesignPoint> out;
-    out.reserve(n);
+    BenchmarkSweep out{bench_, {}, lanes_.memoHits, lanes_.storeHits,
+                       lanes_.storeMisses, appends_.load()};
+    out.points.reserve(n);
     // With the preflight skipped (result store attached) or the
     // trace loaded in worker processes, a trace that turns out to be
     // unloadable fails every simulated point with the same non-point
@@ -682,7 +659,7 @@ SweepCollector::finish()
                    "sweep left index %zu unresolved", i);
         Expected<DesignPoint> &p = *slots_[i];
         if (p.ok()) {
-            out.push_back(std::move(p.value()));
+            out.points.push_back(std::move(p.value()));
             continue;
         }
         if (!report_) {

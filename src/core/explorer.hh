@@ -13,9 +13,9 @@
  * Sweeps are benchmark-major and batched, and every sweep runs one
  * body (Explorer::evaluateAll): the memo and result store answer
  * what they can (SweepCollector), planSweep packs the rest into one
- * bin of whole shared-L1 groups per worker (parallelWorkerCount(),
- * TLC_THREADS or --threads), and each pass of a bin simulates in ONE
- * pass over the benchmark trace instead of once per design point.
+ * bin of whole shared-L1 groups per worker (the sweep's width), and
+ * each pass of a bin simulates in ONE pass over the benchmark trace
+ * instead of once per design point.
  * The body has two pass runners, chosen at setup
  * (Explorer::setIsolation): the parallelFor worker team
  * (util/parallel.hh), or forked workers under a supervisor
@@ -153,22 +153,29 @@ struct SweepRequest
      *  and skipped (fail-soft); without, the first failure is
      *  fatal. */
     FailureReport *report = nullptr;
-    /** Progress callback for this request (empty => none). Fires per
-     *  benchmark sweep, throttled to progressIntervalSeconds; the
-     *  final update of each sweep (done == total) always fires. */
+    /** Progress callback for this request (empty => the explorer's,
+     *  if any). Fires per benchmark sweep, throttled to
+     *  progressIntervalSeconds; the final update of each sweep
+     *  (done == total) always fires. */
     std::function<void(const SweepProgress &)> progress;
     double progressIntervalSeconds = 0.25;
-    /** Worker-team width for this request; 0 inherits the current
-     *  TLC_THREADS / setParallelWorkerCount setting. The previous
-     *  width is restored when the request completes. */
+    /** Worker-team width for this request; 0 takes the process
+     *  setting, parallelWorkerCount(). The width is passed to the
+     *  sweep's plan and worker team; no process setting changes. */
     unsigned threads = 0;
 };
 
-/** Priced points of one benchmark of a SweepRequest. */
+/** Priced points of one benchmark of a SweepRequest, with that
+ *  sweep's own ticks of explore.missrate_cache.hits and
+ *  sweep_cache.{hits,misses,appends}. */
 struct BenchmarkSweep
 {
     Benchmark benchmark;
     std::vector<DesignPoint> points;
+    std::uint64_t memoHits = 0;     ///< indices the memo answered
+    std::uint64_t storeHits = 0;    ///< lanes the result store answered
+    std::uint64_t storeMisses = 0;  ///< lanes it did not hold
+    std::uint64_t storeAppends = 0; ///< simulated lanes appended to it
 };
 
 /**
@@ -295,9 +302,10 @@ class Explorer
     /**
      * Run a whole SweepRequest: every benchmark of the request is
      * priced against its configuration list (one batched sweep per
-     * benchmark), with the request's report, progress callback and
-     * thread override in effect for the duration of the call.
-     * Results are ordered like request.benchmarks.
+     * benchmark) with the request's report, width and progress
+     * callback (else the explorer's), which each sweep is handed;
+     * neither the process nor the explorer is changed. Results are
+     * ordered like request.benchmarks, each with its own counts.
      */
     std::vector<BenchmarkSweep> evaluateAll(const SweepRequest &request);
 
@@ -356,11 +364,15 @@ class Explorer
                           const SupervisorOptions &opts);
 
     /** The one sweep body: the passes run on the worker team, or
-     *  with @p isolate in forked workers, tallied in @p supervision. */
-    std::vector<DesignPoint> sweepBody(
+     *  with @p isolate in forked workers, tallied in @p supervision.
+     *  Its width is @p threads, else parallelWorkerCount(); its
+     *  progress callback @p progress, else the explorer's. */
+    BenchmarkSweep sweepBody(
         Benchmark b, const std::vector<SystemConfig> &configs,
         FailureReport *report, const SupervisorOptions *isolate,
-        SupervisedSweep *supervision);
+        SupervisedSweep *supervision, unsigned threads = 0,
+        const ProgressCallback &progress = {},
+        double progress_interval_seconds = 0.0);
 
     MissRateEvaluator &evaluator_;
     AccessTimeModel timing_;
@@ -376,8 +388,9 @@ class Explorer
 /**
  * The collection step of the sweep body, one per benchmark sweep:
  * resolve, then remember, price and record each simulated lane as it
- * arrives, then collect — per-index slots, the progress throttle, and
- * the rule that turns slots into points plus FailureReport entries.
+ * arrives, then collect — per-index slots, the progress throttle, the
+ * sweep's memo and store counts, and the rule that turns slots into
+ * points plus FailureReport entries.
  * Explorer::evaluateAll drives it; its pass runners (the worker team,
  * or the supervisor of core/shard_runner.hh in forked workers) only
  * simulate lanes and record them. Constructing one counts a sweep
@@ -386,10 +399,13 @@ class Explorer
 class SweepCollector
 {
   public:
-    /** @p configs and @p report must outlive the collector. */
+    /** @p configs, @p report and @p progress (empty => none) must
+     *  outlive the collector. */
     SweepCollector(Explorer &ex, Benchmark b,
                    const std::vector<SystemConfig> &configs,
-                   FailureReport *report);
+                   FailureReport *report,
+                   const Explorer::ProgressCallback &progress,
+                   double progress_interval_seconds);
 
     /** Record what resolveMissStats answers; return the lanes left
      *  to simulate. Call once, first. */
@@ -408,7 +424,8 @@ class SweepCollector
 
     /**
      * Fire the final (done == total) progress update, then collect
-     * in input-index order. Ok points are returned. Per-point
+     * in input-index order. Ok points are returned, with the
+     * sweep's memo and store counts. Per-point
      * failures (InvalidConfig, and a quarantined point's
      * WorkerCrash/WorkerTimeout) go to the report under the config
      * label and tick explore.points.failed. Any other status is a
@@ -416,11 +433,11 @@ class SweepCollector
      * collapse into one "benchmark <name>" entry. Without a report,
      * the first failure is fatal.
      */
-    std::vector<DesignPoint> finish();
+    BenchmarkSweep finish();
 
   private:
-    /** Price @p miss into slot @p i (once) and fire the explorer's
-     *  progress callback, throttled to its interval. */
+    /** Price @p miss into slot @p i (once) and fire the progress
+     *  callback, throttled to its interval. */
     void record(std::size_t i, const Expected<HierarchyStats> &miss);
     void fireProgress(std::size_t done_now, bool final);
 
@@ -428,12 +445,15 @@ class SweepCollector
     Benchmark bench_;
     const std::vector<SystemConfig> &configs_;
     FailureReport *report_;
+    const Explorer::ProgressCallback &progress_;
+    const double progressIntervalSeconds_;
     MissResolution lanes_;
     std::vector<std::optional<Expected<DesignPoint>>> slots_;
     std::chrono::steady_clock::time_point start_;
     std::atomic<std::size_t> done_{0};
     std::atomic<std::size_t> failed_{0};
     std::atomic<std::int64_t> lastFireUs_{-1};
+    std::atomic<std::uint64_t> appends_{0};
 };
 
 } // namespace tlc

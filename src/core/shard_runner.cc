@@ -466,22 +466,22 @@ class ShardSupervisor
   public:
     using Clock = WorkerProcess::Clock;
 
+    /** Adds to @p out, whose fault firings bound @p opts' faults
+     *  across every sweep it tallies. */
     ShardSupervisor(MissRateEvaluator &ev, Benchmark b,
                     const std::vector<SystemConfig> &configs,
                     const SupervisorOptions &opts,
-                    SweepCollector &collector)
+                    SweepCollector &collector, SupervisedSweep &out)
         : ev_(ev), bench_(b), configs_(configs), opts_(opts),
-          collector_(collector),
-          faultFired_(opts.faults.faults.size(), 0),
-          start_(Clock::now())
+          collector_(collector), out_(out), start_(Clock::now())
     {
+        out_.faultsFired.resize(opts.faults.faults.size());
     }
 
     /** Run @p plan's passes over @p pending's lanes as shards, then
-     *  add what it took to @p out (timeline in plan order: bin, then
-     *  pass, a bisected shard before its halves). */
-    void run(const MissResolution &pending,
-             const std::vector<SweepBin> &plan, SupervisedSweep &out)
+     *  add what it took to the tally (timeline in plan order: bin,
+     *  then pass, a bisected shard before its halves). */
+    void run(const MissResolution &pending, const std::vector<SweepBin> &plan)
     {
         laneOf_.assign(configs_.size(), kNoLane);
         for (std::size_t lane = 0; lane < pending.lanes.size(); ++lane)
@@ -499,29 +499,32 @@ class ShardSupervisor
         while (pollOnce()) {
         }
         for (Bin &bin : bins_) {
-            out.timeline.insert(
-                out.timeline.end(),
+            out_.timeline.insert(
+                out_.timeline.end(),
                 std::make_move_iterator(bin.timeline.begin()),
                 std::make_move_iterator(bin.timeline.end()));
         }
         // The registry's supervisor.* counters are this tally's
         // running sum, added once per sweep.
-        auto &reg = MetricsRegistry::global();
-        reg.counter("supervisor.sweeps").inc();
-        reg.counter("supervisor.shards").inc(stats_.shards);
-        reg.counter("supervisor.retries").inc(stats_.retries);
-        reg.counter("supervisor.bisections").inc(stats_.bisections);
-        reg.counter("supervisor.quarantined").inc(stats_.quarantined);
-        reg.counter("supervisor.backoff_waits").inc(stats_.backoffWaits);
-        reg.counter("supervisor.telemetry.metric_frames")
-            .inc(stats_.metricFrames);
-        reg.counter("supervisor.telemetry.phase_frames")
-            .inc(stats_.phaseFrames);
-        reg.counter("supervisor.telemetry.event_frames")
-            .inc(stats_.eventFrames);
-        reg.counter("supervisor.telemetry.flight_frames")
-            .inc(stats_.flightFrames);
-        out.stats.accumulate(stats_);
+        const std::pair<const char *, std::uint64_t> sums[] = {
+            {"supervisor.sweeps", 1},
+            {"supervisor.shards", stats_.shards},
+            {"supervisor.retries", stats_.retries},
+            {"supervisor.bisections", stats_.bisections},
+            {"supervisor.quarantined", stats_.quarantined},
+            {"supervisor.backoff_waits", stats_.backoffWaits},
+            {"supervisor.worker.forks", stats_.attempts},
+            {"supervisor.worker.crashes", stats_.crashes},
+            {"supervisor.worker.timeouts", stats_.timeouts},
+            {"supervisor.worker.exits", stats_.exits},
+            {"supervisor.worker.protocol_errors", stats_.protocolErrors},
+            {"supervisor.telemetry.metric_frames", stats_.metricFrames},
+            {"supervisor.telemetry.phase_frames", stats_.phaseFrames},
+            {"supervisor.telemetry.event_frames", stats_.eventFrames},
+            {"supervisor.telemetry.flight_frames", stats_.flightFrames}};
+        for (const auto &[name, n] : sums)
+            MetricsRegistry::global().counter(name).inc(n);
+        out_.stats.accumulate(stats_);
     }
 
   private:
@@ -601,12 +604,12 @@ class ShardSupervisor
             const ShardFault &fault = opts_.faults.faults[f];
             if (fault.kind == ShardFault::Kind::None)
                 continue;
-            if (fault.times >= 0 && faultFired_[f] >= fault.times)
+            if (fault.times >= 0 && out_.faultsFired[f] >= fault.times)
                 continue;
             if (std::find(shard.begin(), shard.end(), fault.atIndex) ==
                 shard.end())
                 continue;
-            ++faultFired_[f];
+            ++out_.faultsFired[f];
             return fault;
         }
         return ShardFault{};
@@ -888,8 +891,8 @@ class ShardSupervisor
     SweepCollector &collector_;
     std::vector<std::size_t> laneOf_; ///< first index -> pending lane
     std::vector<Bin> bins_;
+    SupervisedSweep &out_;
     SupervisionStats stats_;
-    std::vector<int> faultFired_;
     Clock::time_point start_;
 };
 
@@ -903,8 +906,8 @@ superviseBins(MissRateEvaluator &ev, Benchmark b,
               const SupervisorOptions &opts, SweepCollector &collector,
               SupervisedSweep &supervision)
 {
-    ShardSupervisor(ev, b, configs, opts, collector)
-        .run(pending, bins, supervision);
+    ShardSupervisor(ev, b, configs, opts, collector, supervision)
+        .run(pending, bins);
 }
 
 SupervisedSweep
@@ -917,7 +920,7 @@ supervisedEvaluateAll(Explorer &ex, Benchmark b,
                "supervisedEvaluateAll requires a FailureReport: "
                "process isolation exists to keep going fail-soft");
     SupervisedSweep out;
-    out.points = ex.sweepBody(b, configs, report, &opts, &out);
+    out.points = ex.sweepBody(b, configs, report, &opts, &out).points;
     return out;
 }
 

@@ -50,9 +50,10 @@
  * Observability: shard attempts count under the "supervisor.shard"
  * profiler phase, backoff waits under "supervisor.backoff", and each
  * sweep adds its SupervisionStats to supervisor.{sweeps,shards,
- * retries,bisections,quarantined,backoff_waits} and
- * supervisor.telemetry.*_frames when it ends, next to the per-worker
- * supervisor.worker.* counters.
+ * retries,bisections,quarantined,backoff_waits},
+ * supervisor.worker.{forks,crashes,timeouts,exits,protocol_errors}
+ * and supervisor.telemetry.*_frames when it ends: one count of each
+ * event.
  *
  * Cross-process telemetry (docs/observability.md): before its Done
  * frame a worker streams its metrics-registry deltas, profiler phase
@@ -87,11 +88,12 @@ namespace tlc {
 /**
  * One deterministic injected fault: when a worker's shard contains
  * design-point index @p atIndex, the worker misbehaves as @p kind
- * says. @p times bounds how many workers fire the fault (-1 =
- * every one), which is how tests model transient vs. permanent
- * failures: times=1 crashes the first attempt and lets the retry
- * succeed; times=-1 is a poisoned point that must end up
- * quarantined.
+ * says. @p times bounds how many workers fire the fault in one run
+ * (-1 = every one): across every sweep since Explorer::setIsolation,
+ * or in one supervisedEvaluateAll call. That is how tests model
+ * transient vs. permanent failures: times=1 crashes the first
+ * attempt and lets the retry succeed; times=-1 is a poisoned point
+ * that must end up quarantined.
  */
 struct ShardFault
 {
@@ -195,6 +197,10 @@ struct SupervisedSweep
      *  bin's shards in the order they ran (a bisected shard appears
      *  just before its halves). */
     std::vector<ShardTimeline> timeline;
+    /** Firings of each of the options' faults so far: ShardFault::times
+     *  bounds them across every sweep of this tally, so once per run
+     *  for Explorer::supervision(). */
+    std::vector<int> faultsFired;
 };
 
 /**
@@ -247,8 +253,8 @@ supervisedEvaluateAll(Explorer &ex, Benchmark b,
  *   --inject-crash-at=IDX / --inject-hang-at=IDX /
  *   --inject-partial-at=IDX   misbehave when a worker's shard holds
  *                             design-point index IDX
- *   --inject-times=N          firings before the fault disarms
- *                             (-1 = every time)
+ *   --inject-times=N          firings in the run before the
+ *                             fault disarms (-1 = every time)
  *
  * Fills @p out either way; returns true when --isolate=process was
  * requested. An unknown --isolate value is fatal, and so is a count

@@ -177,7 +177,7 @@ SweepCache::lookup(const std::string &key_text, SweepCacheOutcome *outcome)
     return stats;
 }
 
-void
+bool
 SweepCache::store(const std::string &key_text, const HierarchyStats &stats)
 {
     ScopedTimer timer(kPhaseSweepCache);
@@ -192,9 +192,10 @@ SweepCache::store(const std::string &key_text, const HierarchyStats &stats)
             .counter("sweep_cache.append_failures")
             .inc();
         warn("sweep cache: %s", s.message().c_str());
-        return;
+        return false;
     }
     CacheMetrics::get().appends.inc();
+    return true;
 }
 
 } // namespace tlc

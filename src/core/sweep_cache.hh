@@ -130,11 +130,12 @@ class SweepCache
                                              nullptr);
 
     /**
-     * Persist one simulated result. Append failures are reported to
-     * the warn log, not the caller: a read-only or full disk must
-     * degrade a sweep to uncached, not kill it.
+     * Persist one simulated result; true when it was appended. An
+     * append failure goes to the warn log and returns false: a
+     * read-only or full disk must degrade a sweep to uncached, not
+     * kill it.
      */
-    void store(const std::string &key_text, const HierarchyStats &stats);
+    bool store(const std::string &key_text, const HierarchyStats &stats);
 
   private:
     ResultStore store_;

@@ -29,7 +29,9 @@
  * A connection may submit any number of requests sequentially; EOF
  * at a frame boundary is a clean goodbye. Concurrency: each
  * connection is served by its own thread, while sweep EXECUTION is
- * serialized inside SweepService — overlapping clients are accepted
+ * serialized inside SweepService, because each request runs a worker
+ * team as wide as it asks for and no process-wide cap shares the
+ * cores between two — overlapping clients are accepted
  * concurrently, run in arrival order, and the later one's repeated
  * points resolve from the shared store (warm, near-free).
  *

@@ -108,22 +108,10 @@ SweepService::run(const SweepRequestSpec &spec,
                       &progress)
 {
     // One sweep at a time: the engine's parallelism lives INSIDE a
-    // request (the worker team), and the accounting below reads
-    // process-wide counters whose deltas are only attributable to
-    // this request while no other sweep is in flight.
+    // request (a worker team per sweep), and two requests in flight
+    // would each start a full team.
     std::lock_guard<std::mutex> lock(engineMu_);
     auto t0 = std::chrono::steady_clock::now();
-
-    MetricsRegistry &reg = MetricsRegistry::global();
-    MetricCounter &storeHits = reg.counter("sweep_cache.hits");
-    MetricCounter &storeMisses = reg.counter("sweep_cache.misses");
-    MetricCounter &storeAppends = reg.counter("sweep_cache.appends");
-    MetricCounter &memoHits =
-        reg.counter("explore.missrate_cache.hits");
-    const std::uint64_t h0 = storeHits.value();
-    const std::uint64_t m0 = storeMisses.value();
-    const std::uint64_t a0 = storeAppends.value();
-    const std::uint64_t memo0 = memoHits.value();
 
     EvaluatorOptions eopts;
     eopts.traceRefs = spec.traceRefs;
@@ -156,14 +144,13 @@ SweepService::run(const SweepRequestSpec &spec,
                 energyEnvelopeOf(sb.points, sb.energyPerRef);
         }
         out.accounting.pointsPriced += sb.points.size();
+        out.accounting.storeHits += bs.storeHits;
+        out.accounting.storeMisses += bs.storeMisses;
+        out.accounting.storeAppends += bs.storeAppends;
+        out.accounting.memoHits += bs.memoHits;
         out.outcome.sweeps.push_back(std::move(sb));
     }
     out.outcome.failures = report.failures();
-
-    out.accounting.storeHits = storeHits.value() - h0;
-    out.accounting.storeMisses = storeMisses.value() - m0;
-    out.accounting.storeAppends = storeAppends.value() - a0;
-    out.accounting.memoHits = memoHits.value() - memo0;
     out.accounting.failures = report.size();
     out.accounting.wallSeconds =
         std::chrono::duration<double>(

@@ -16,6 +16,11 @@
  * headline property, pinned by tests/test_service.cc and checked
  * on every served request of bench/layers' served_mix workload.
  *
+ * Accounting: each sweep returns its own memo and store counts
+ * (BenchmarkSweep), and run() adds them up, so a request's stats
+ * document never reads another sweep's ticks of the process-wide
+ * counters.
+ *
  * Determinism: run() serializes sweep execution under an engine
  * mutex (concurrent CLIENTS are served concurrently at the
  * connection layer; their sweeps execute in arrival order). The
@@ -84,10 +89,10 @@ class SweepService
     SweepServiceOptions options_;
     std::shared_ptr<SweepCache> store_;
     std::shared_ptr<TracePool> pool_;
-    /** Serializes sweep execution AND the counter-delta accounting
-     *  reads around it (the global metrics registry is process-wide;
-     *  without the lock two in-flight sweeps would read each other's
-     *  ticks). */
+    /** Serializes request execution, and nothing else: each sweep
+     *  starts a worker team as wide as its request, and nothing yet
+     *  caps the teams across the process, so two requests in flight
+     *  would oversubscribe the cores. */
     std::mutex engineMu_;
 };
 

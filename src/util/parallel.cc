@@ -54,12 +54,6 @@ setParallelWorkerCount(unsigned n)
     g_worker_override.store(n, std::memory_order_relaxed);
 }
 
-unsigned
-parallelWorkerOverride()
-{
-    return g_worker_override.load(std::memory_order_relaxed);
-}
-
 bool
 inParallelWorker()
 {
@@ -73,14 +67,14 @@ parallelWorkerId()
 }
 
 void
-parallelFor(std::size_t n, const std::function<void(std::size_t)> &body)
+parallelFor(std::size_t n, unsigned workers,
+            const std::function<void(std::size_t)> &body)
 {
     if (n == 0)
         return;
 
-    std::size_t workers = parallelWorkerCount();
     if (workers > n)
-        workers = n;
+        workers = static_cast<unsigned>(n);
 
     // Serial fast path: one worker, a single index, or a nested call
     // from inside a worker (spawning a second team underneath the

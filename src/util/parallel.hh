@@ -4,10 +4,13 @@
  * index range backed by a per-call worker team.
  *
  * Design points:
- *  - Worker count comes from setParallelWorkerCount() (a --threads
- *    flag), else the TLC_THREADS environment variable, else
- *    std::thread::hardware_concurrency(). TLC_THREADS=1 forces
- *    serial execution on the calling thread.
+ *  - The team's width is a parameter of each call. The process
+ *    setting, parallelWorkerCount(), is setParallelWorkerCount() (a
+ *    --threads flag), else the TLC_THREADS environment variable,
+ *    else std::thread::hardware_concurrency(); a caller that wants
+ *    it passes it. There is no scoped override: a sweep that runs at
+ *    another width (SweepRequest::threads) passes that width, and
+ *    the process setting never changes under it.
  *  - Callers own determinism: the body receives its index and must
  *    write only to per-index state, so results are ordered by input
  *    index regardless of which worker finishes first. The sweep
@@ -30,25 +33,18 @@
 namespace tlc {
 
 /**
- * The number of workers parallelFor would use right now:
- * the programmatic override if set, else TLC_THREADS (when it parses
- * to a positive integer), else hardware_concurrency(), never 0.
+ * The process's worker count: the programmatic setting if any, else
+ * TLC_THREADS (when it parses to a positive integer), else
+ * hardware_concurrency(), never 0.
  */
 unsigned parallelWorkerCount();
 
 /**
- * Override the worker count programmatically (the --threads flag of
- * the bench drivers). @p n = 0 clears the override, returning
- * control to TLC_THREADS / the hardware default.
+ * Set the process's worker count (the --threads flag of the
+ * drivers), at setup, not while a sweep runs. @p n = 0 clears the
+ * setting, returning control to TLC_THREADS / the hardware default.
  */
 void setParallelWorkerCount(unsigned n);
-
-/**
- * The current programmatic override, 0 when none is installed.
- * Lets a scoped override (SweepRequest::threads) restore whatever
- * was in effect before it.
- */
-unsigned parallelWorkerOverride();
 
 /** True while the calling thread is executing a parallelFor body. */
 bool inParallelWorker();
@@ -64,13 +60,15 @@ unsigned parallelWorkerId();
 
 /**
  * Run @p body(i) for every i in [0, n), distributing indices across
- * the worker team and blocking until all complete (or until a body
- * throws, in which case the remaining un-issued indices are skipped
- * and the first exception is rethrown here). Runs serially on the
- * calling thread when n <= 1, when only one worker is configured,
- * or when called from inside another parallelFor.
+ * a team of at most @p workers threads (the calling thread counts as
+ * one) and blocking until all complete (or until a body throws, in
+ * which case the remaining un-issued indices are skipped and the
+ * first exception is rethrown here). Runs serially on the calling
+ * thread when n <= 1, when @p workers <= 1, or when called from
+ * inside another parallelFor.
  */
-void parallelFor(std::size_t n, const std::function<void(std::size_t)> &body);
+void parallelFor(std::size_t n, unsigned workers,
+                 const std::function<void(std::size_t)> &body);
 
 } // namespace tlc
 

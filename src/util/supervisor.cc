@@ -23,36 +23,12 @@
 #include "util/crc32.hh"
 #include "util/flight_recorder.hh"
 #include "util/logging.hh"
-#include "util/metrics.hh"
 #include "util/random.hh"
 #include "util/wire.hh"
 
 namespace tlc {
 
 namespace {
-
-/** Supervisor metrics, registered once and shared by all sites. */
-struct WorkerMetrics
-{
-    MetricCounter &forks;
-    MetricCounter &crashes;
-    MetricCounter &timeouts;
-    MetricCounter &exits;
-    MetricCounter &protocolErrors;
-
-    static WorkerMetrics &get()
-    {
-        auto &r = MetricsRegistry::global();
-        static WorkerMetrics m{
-            r.counter("supervisor.worker.forks"),
-            r.counter("supervisor.worker.crashes"),
-            r.counter("supervisor.worker.timeouts"),
-            r.counter("supervisor.worker.exits"),
-            r.counter("supervisor.worker.protocol_errors"),
-        };
-        return m;
-    }
-};
 
 /** Now plus @p seconds, saturating at time_point::max(). */
 WorkerProcess::Clock::time_point
@@ -275,7 +251,6 @@ WorkerProcess::start(const std::function<void(int write_fd)> &worker,
 
     // Parent. The write end is closed before any other fork, so the
     // pipe reads EOF exactly when this worker is gone.
-    WorkerMetrics::get().forks.inc();
     close(fds[1]);
     fcntl(fds[0], F_SETFL, fcntl(fds[0], F_GETFL) | O_NONBLOCK);
     pid_ = pid;
@@ -356,12 +331,10 @@ WorkerProcess::finish(WorkerOutcome::Kind kind, double grace_seconds)
                       "worker exceeded %.3gs watchdog and was killed",
                       watchdog_.timeoutSeconds);
         out_.detail = msg;
-        WorkerMetrics::get().timeouts.inc();
         return true;
     case WorkerOutcome::Kind::Protocol:
         out_.kind = kind;
         out_.detail = "corrupt frame in worker stream";
-        WorkerMetrics::get().protocolErrors.inc();
         return true;
     default:
         break;
@@ -372,7 +345,6 @@ WorkerProcess::finish(WorkerOutcome::Kind kind, double grace_seconds)
         std::snprintf(msg, sizeof msg, "worker killed by signal %d (%s)",
                       out_.termSignal, strsignal(out_.termSignal));
         out_.detail = msg;
-        WorkerMetrics::get().crashes.inc();
         return true;
     }
     if (WIFEXITED(wstatus) && WEXITSTATUS(wstatus) != 0) {
@@ -384,7 +356,6 @@ WorkerProcess::finish(WorkerOutcome::Kind kind, double grace_seconds)
                           ? " (unhandled exception)"
                           : "");
         out_.detail = msg;
-        WorkerMetrics::get().exits.inc();
         return true;
     }
     if (!frames_.atFrameBoundary()) {
@@ -392,7 +363,6 @@ WorkerProcess::finish(WorkerOutcome::Kind kind, double grace_seconds)
         // about being done. Never act on a partial frame.
         out_.kind = WorkerOutcome::Kind::Protocol;
         out_.detail = "worker exited leaving a torn trailing frame";
-        WorkerMetrics::get().protocolErrors.inc();
         return true;
     }
     out_.kind = WorkerOutcome::Kind::Ok;

@@ -27,9 +27,9 @@
  * escaping the worker function exits with a reserved status instead
  * of propagating.
  *
- * Observability: forks, crashes, timeouts, nonzero exits and
- * protocol violations tick supervisor.worker.* in the global metrics
- * registry.
+ * Observability: this layer keeps no counters. Whoever drives it
+ * tallies the outcomes it reports (core/shard_runner.hh adds them
+ * to supervisor.worker.* once per sweep).
  */
 
 #ifndef TLC_UTIL_SUPERVISOR_HH

@@ -19,6 +19,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -30,6 +33,7 @@
 #include "util/parallel.hh"
 #include "util/random.hh"
 #include "util/simd.hh"
+#include "util/trace_event.hh"
 #include "util/units.hh"
 
 using namespace tlc;
@@ -1089,9 +1093,52 @@ TEST(SweepRequestApi, ThreadOverrideIsScopedToTheCall)
     auto sweeps = ex.evaluateAll(req);
     ASSERT_EQ(sweeps.size(), 1u);
     EXPECT_EQ(sweeps[0].points.size(), 1u);
-    // The request's override must not leak past the call.
-    EXPECT_EQ(parallelWorkerOverride(), 3u);
+    // The request's width must not leak past the call.
+    EXPECT_EQ(parallelWorkerCount(), 3u);
     setParallelWorkerCount(0);
+}
+
+TEST(SweepRequestApi, WidthIsPassedToTheSweepNotInstalled)
+{
+    // Four L1 groups for a two-wide request, under a process setting
+    // of three: the plan has the request's two bins, and the progress
+    // callback, running inside the sweep, still reads three.
+    setParallelWorkerCount(3);
+    SweepRequest req;
+    for (std::uint64_t l1 : {4_KiB, 8_KiB, 16_KiB, 32_KiB}) {
+        SystemConfig c;
+        c.l1Bytes = l1;
+        c.l2Bytes = 128_KiB;
+        req.configs.push_back(c);
+    }
+    req.benchmarks = {Benchmark::Li};
+    req.threads = 2;
+    std::atomic<int> calls{0};
+    std::atomic<int> otherWidth{0};
+    req.progress = [&](const SweepProgress &) {
+        ++calls;
+        if (parallelWorkerCount() != 3)
+            ++otherWidth;
+    };
+    req.progressIntervalSeconds = 0.0;
+    MissRateEvaluator ev(2000);
+    Explorer ex(ev);
+    TraceEventRecorder rec;
+    TraceEventRecorder::setActive(&rec);
+    auto sweeps = ex.evaluateAll(req);
+    TraceEventRecorder::setActive(nullptr);
+    setParallelWorkerCount(0);
+
+    ASSERT_EQ(sweeps.size(), 1u);
+    EXPECT_EQ(sweeps[0].points.size(), req.configs.size());
+    std::set<std::string> bins; // one "li batch <bin>" slice per pass
+    for (const TraceEvent &e : rec.snapshot()) {
+        if (e.category == "sim-batch")
+            bins.insert(e.name);
+    }
+    EXPECT_EQ(bins.size(), 2u);
+    EXPECT_GE(calls.load(), 1); // the final update always fires
+    EXPECT_EQ(otherWidth.load(), 0);
 }
 
 TEST(SweepRequestApi, ReportCollectsFailuresAcrossBenchmarks)

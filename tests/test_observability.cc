@@ -201,7 +201,7 @@ TEST(Metrics, ConcurrentIncrementsFromWorkerTeamLoseNothing)
     MetricCounter &c = reg.counter("concurrent.hits");
     MetricHistogram &h = reg.histogram("concurrent.sizes");
     constexpr std::size_t n = 20000;
-    parallelFor(n, [&](std::size_t i) {
+    parallelFor(n, parallelWorkerCount(), [&](std::size_t i) {
         c.inc();
         if (i % 100 == 0)
             h.sample(i);
@@ -217,7 +217,7 @@ TEST(Metrics, ConcurrentRegistrationYieldsOneObjectPerName)
     MetricsRegistry reg;
     std::atomic<MetricCounter *> seen{nullptr};
     std::atomic<int> mismatches{0};
-    parallelFor(1000, [&](std::size_t) {
+    parallelFor(1000, parallelWorkerCount(), [&](std::size_t) {
         MetricCounter &c = reg.counter("race.shared");
         c.inc();
         MetricCounter *expected = nullptr;
@@ -298,7 +298,7 @@ TEST(Profiler, RecordsMergeFromConcurrentWorkers)
     Profiler p;
     p.setEnabled(true);
     setParallelWorkerCount(4);
-    parallelFor(200, [&](std::size_t) {
+    parallelFor(200, parallelWorkerCount(), [&](std::size_t) {
         ScopedTimer t(phase::kModelTpi, p);
     });
     setParallelWorkerCount(0);
@@ -383,7 +383,7 @@ TEST(TraceEvent, ConcurrentRecordingIsSafeAndComplete)
 {
     TraceEventRecorder rec;
     setParallelWorkerCount(4);
-    parallelFor(500, [&](std::size_t i) {
+    parallelFor(500, parallelWorkerCount(), [&](std::size_t i) {
         auto now = TraceEventRecorder::Clock::now();
         rec.complete("slice" + std::to_string(i), "t", now, now,
                      parallelWorkerId());

@@ -61,7 +61,8 @@ TEST_F(ParallelTest, VisitsEveryIndexExactlyOnce)
     setParallelWorkerCount(8);
     constexpr std::size_t n = 5000;
     std::vector<int> hits(n, 0);
-    parallelFor(n, [&](std::size_t i) { hits[i]++; });
+    parallelFor(n, parallelWorkerCount(),
+                [&](std::size_t i) { hits[i]++; });
     for (std::size_t i = 0; i < n; ++i)
         ASSERT_EQ(hits[i], 1) << "index " << i;
 }
@@ -71,7 +72,8 @@ TEST_F(ParallelTest, ResultsAreOrderedByIndexNotCompletionOrder)
     setParallelWorkerCount(8);
     constexpr std::size_t n = 1000;
     std::vector<std::size_t> out(n, 0);
-    parallelFor(n, [&](std::size_t i) { out[i] = i * i; });
+    parallelFor(n, parallelWorkerCount(),
+                [&](std::size_t i) { out[i] = i * i; });
     for (std::size_t i = 0; i < n; ++i)
         ASSERT_EQ(out[i], i * i);
 }
@@ -79,14 +81,15 @@ TEST_F(ParallelTest, ResultsAreOrderedByIndexNotCompletionOrder)
 TEST_F(ParallelTest, EmptyRangeNeverInvokesBody)
 {
     setParallelWorkerCount(8);
-    parallelFor(0, [&](std::size_t) { FAIL() << "body called"; });
+    parallelFor(0, parallelWorkerCount(),
+                [&](std::size_t) { FAIL() << "body called"; });
 }
 
 TEST_F(ParallelTest, SingleItemRunsOnCallingThread)
 {
     setParallelWorkerCount(8);
     std::thread::id body_id;
-    parallelFor(1, [&](std::size_t i) {
+    parallelFor(1, parallelWorkerCount(), [&](std::size_t i) {
         EXPECT_EQ(i, 0u);
         body_id = std::this_thread::get_id();
     });
@@ -100,7 +103,7 @@ TEST_F(ParallelTest, EnvThreadsOneForcesSerial)
 
     const std::thread::id caller = std::this_thread::get_id();
     std::size_t calls = 0;
-    parallelFor(64, [&](std::size_t) {
+    parallelFor(64, parallelWorkerCount(), [&](std::size_t) {
         EXPECT_EQ(std::this_thread::get_id(), caller);
         ++calls; // serial, so unsynchronized increment is safe
     });
@@ -142,7 +145,7 @@ TEST_F(ParallelTest, ExceptionPropagatesToCaller)
     setParallelWorkerCount(4);
     std::atomic<std::size_t> executed{0};
     try {
-        parallelFor(100, [&](std::size_t i) {
+        parallelFor(100, parallelWorkerCount(), [&](std::size_t i) {
             executed.fetch_add(1);
             if (i == 3)
                 throw std::runtime_error("boom at 3");
@@ -158,7 +161,7 @@ TEST_F(ParallelTest, ExceptionPropagatesToCaller)
 TEST_F(ParallelTest, ExceptionPropagatesOnSerialPath)
 {
     setParallelWorkerCount(1);
-    EXPECT_THROW(parallelFor(8,
+    EXPECT_THROW(parallelFor(8, parallelWorkerCount(),
                              [&](std::size_t i) {
                                  if (i == 2)
                                      throw std::logic_error("serial");
@@ -174,11 +177,11 @@ TEST_F(ParallelTest, NestedCallFallsBackToSerialOnWorker)
     constexpr std::size_t outer_n = 4, inner_n = 16;
     std::vector<int> inner_on_own_thread(outer_n, 0);
     std::vector<int> inner_hits(outer_n, 0);
-    parallelFor(outer_n, [&](std::size_t o) {
+    parallelFor(outer_n, parallelWorkerCount(), [&](std::size_t o) {
         EXPECT_TRUE(inParallelWorker());
         const std::thread::id outer_id = std::this_thread::get_id();
         bool same = true;
-        parallelFor(inner_n, [&](std::size_t) {
+        parallelFor(inner_n, parallelWorkerCount(), [&](std::size_t) {
             same = same && std::this_thread::get_id() == outer_id;
             inner_hits[o]++; // serial inner loop: no race on the slot
         });
@@ -201,7 +204,7 @@ TEST_F(ParallelTest, UsesDistinctWorkersWhenWideEnough)
     std::condition_variable cv;
     std::size_t arrived = 0;
     std::set<std::thread::id> ids;
-    parallelFor(2, [&](std::size_t) {
+    parallelFor(2, parallelWorkerCount(), [&](std::size_t) {
         std::unique_lock<std::mutex> lock(mu);
         ids.insert(std::this_thread::get_id());
         if (++arrived == 2)

@@ -334,7 +334,7 @@ TEST(SweepPlan, OneWorkerOrNestedCallPlansOneBin)
 
     WorkerCountGuard guard(4);
     std::vector<std::size_t> nested(4, 0);
-    parallelFor(nested.size(), [&](std::size_t i) {
+    parallelFor(nested.size(), parallelWorkerCount(), [&](std::size_t i) {
         nested[i] = planSweep(grid, 4).size();
     });
     for (std::size_t n : nested)
@@ -562,7 +562,7 @@ TEST(ParallelDifferential, FailureReportToleratesConcurrentAdds)
     // shared by an application-level parallel loop must not race.
     WorkerCountGuard guard(8);
     FailureReport report;
-    parallelFor(64, [&](std::size_t i) {
+    parallelFor(64, parallelWorkerCount(), [&](std::size_t i) {
         report.add("subject " + std::to_string(i),
                    statusf(StatusCode::InternalError, "failure %zu", i));
     });

@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -43,6 +44,7 @@
 #include "service/sweep_codec.hh"
 #include "service/sweep_service.hh"
 #include "util/json.hh"
+#include "util/metrics.hh"
 #include "util/supervisor.hh"
 #include "util/units.hh"
 
@@ -399,6 +401,83 @@ TEST(SweepService, WarmRunServesEveryPointFromTheStore)
               sweepResponseJson(spec, cold.outcome));
     EXPECT_EQ(sweepResponseJson(spec, warm.outcome),
               directResponse(spec));
+    std::remove(opts.resultStorePath.c_str());
+}
+
+TEST(SweepService, AccountingEqualsTheRegistryDeltasOfARequestAlone)
+{
+    // With nothing else running, a request's own counts are exactly
+    // what the process-wide counters moved by: cold, then warm, with
+    // a repeated benchmark so the memo answers the second sweep.
+    MetricsRegistry &reg = MetricsRegistry::global();
+    auto counters = [&] {
+        return std::vector<std::uint64_t>{
+            reg.counter("sweep_cache.hits").value(),
+            reg.counter("sweep_cache.misses").value(),
+            reg.counter("sweep_cache.appends").value(),
+            reg.counter("explore.missrate_cache.hits").value()};
+    };
+    SweepRequestSpec spec = smallSpec();
+    spec.benchmarks = {Benchmark::Gcc1, Benchmark::Gcc1};
+    SweepServiceOptions opts;
+    opts.resultStorePath = tempPath("service_deltas.tlcr");
+    SweepService svc(opts);
+    ASSERT_TRUE(svc.init().ok());
+    for (const char *pass : {"cold", "warm"}) {
+        SCOPED_TRACE(pass);
+        const std::vector<std::uint64_t> before = counters();
+        const ServiceRun run = svc.run(spec);
+        const std::vector<std::uint64_t> after = counters();
+        EXPECT_EQ(run.accounting.storeHits, after[0] - before[0]);
+        EXPECT_EQ(run.accounting.storeMisses, after[1] - before[1]);
+        EXPECT_EQ(run.accounting.storeAppends, after[2] - before[2]);
+        EXPECT_EQ(run.accounting.memoHits, after[3] - before[3]);
+        EXPECT_EQ(run.accounting.memoHits, spec.configs.size());
+    }
+    std::remove(opts.resultStorePath.c_str());
+}
+
+TEST(SweepService, AccountingIgnoresOtherStoreTraffic)
+{
+    // A second store ticks sweep_cache.{hits,misses,appends} from the
+    // request's progress callback, on the sweep's own threads, while
+    // the request runs: none of it may show in the request's counts.
+    SweepCache other;
+    const std::string otherPath = tempPath("service_other.tlcr");
+    ASSERT_TRUE(other.open(otherPath).ok());
+    const HierarchyStats stats;
+    other.store("seed", stats);
+    std::atomic<int> calls{0};
+    auto progress = [&](const SweepProgress &) {
+        ++calls;
+        EXPECT_TRUE(other.lookup("seed").has_value());
+        EXPECT_FALSE(other.lookup("absent").has_value());
+        other.store("more", stats);
+    };
+
+    SweepRequestSpec spec = smallSpec();
+    SweepServiceOptions opts;
+    opts.resultStorePath = tempPath("service_acct.tlcr");
+    SweepService svc(opts);
+    ASSERT_TRUE(svc.init().ok());
+
+    ServiceRun cold = svc.run(spec, progress);
+    EXPECT_GE(calls.load(), 1); // the final update always fires
+    EXPECT_EQ(cold.accounting.storeHits, 0u);
+    EXPECT_EQ(cold.accounting.storeMisses, spec.configs.size());
+    EXPECT_EQ(cold.accounting.storeAppends, spec.configs.size());
+    EXPECT_EQ(cold.accounting.memoHits, 0u);
+
+    calls = 0;
+    ServiceRun warm = svc.run(spec, progress);
+    EXPECT_GE(calls.load(), 1);
+    EXPECT_EQ(warm.accounting.storeHits, spec.configs.size());
+    EXPECT_EQ(warm.accounting.storeMisses, 0u);
+    EXPECT_EQ(warm.accounting.storeAppends, 0u);
+    EXPECT_EQ(warm.accounting.memoHits, 0u);
+
+    other.close();
+    std::remove(otherPath.c_str());
     std::remove(opts.resultStorePath.c_str());
 }
 

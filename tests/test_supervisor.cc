@@ -140,6 +140,25 @@ runSupervised(const std::vector<SystemConfig> &configs,
     return r;
 }
 
+/** runSupervised with RLIMIT_NOFILE lowered to the lowest free
+ *  descriptor, so every launch fails in pipe(); restored after. */
+SweepResult
+runSupervisedWithoutPipes(const std::vector<SystemConfig> &configs,
+                          const SupervisorOptions &opts)
+{
+    struct rlimit saved;
+    EXPECT_EQ(getrlimit(RLIMIT_NOFILE, &saved), 0);
+    const int lowestFree = dup(0);
+    EXPECT_GE(lowestFree, 0);
+    close(lowestFree);
+    struct rlimit none = saved;
+    none.rlim_cur = static_cast<rlim_t>(lowestFree);
+    EXPECT_EQ(setrlimit(RLIMIT_NOFILE, &none), 0);
+    SweepResult r = runSupervised(configs, opts);
+    EXPECT_EQ(setrlimit(RLIMIT_NOFILE, &saved), 0);
+    return r;
+}
+
 /** The planned passes of @p configs at the current sweep width, bin
  *  after bin: the shards a clean supervised sweep launches, in the
  *  order its timeline lists them. */
@@ -685,6 +704,67 @@ TEST(ShardRunner, ExplorerIsolationSupervisesEverySweep)
     EXPECT_EQ(ex.supervision(), nullptr);
 }
 
+TEST(ShardRunner, InjectTimesCountsFiringsPerRunNotPerSweep)
+{
+    // times = 1 is one firing for the whole run: two supervised
+    // sweeps on one explorer (two benchmarks, so both fork workers)
+    // crash one worker between them. setIsolation starts a new run.
+    const auto grid = referenceGrid();
+    MissRateEvaluator ev(evaluatorOptions());
+    Explorer ex(ev);
+    SupervisorOptions opts = testOptions();
+    opts.faults.faults.push_back(
+        fault(ShardFault::Kind::Crash, 12, /*times=*/1));
+    ex.setIsolation(&opts);
+    FailureReport report;
+    for (Benchmark b : {Benchmark::Gcc1, Benchmark::Espresso})
+        EXPECT_EQ(ex.evaluateAll(b, grid, &report).size(), grid.size());
+    EXPECT_TRUE(report.empty());
+    EXPECT_EQ(ex.supervision()->stats.crashes, 1u);
+    EXPECT_EQ(ex.supervision()->stats.retries, 1u);
+
+    ex.setIsolation(&opts);
+    EXPECT_EQ(ex.evaluateAll(Benchmark::Li, grid, &report).size(),
+              grid.size());
+    EXPECT_EQ(ex.supervision()->stats.crashes, 1u);
+    ex.setIsolation(nullptr);
+}
+
+TEST(ShardRunner, WorkerCountersAreTheSweepsStats)
+{
+    // supervisor.worker.* is each sweep's SupervisionStats, added
+    // once: the registry moves by exactly the stats of a sweep whose
+    // workers crash, and of one whose launches never fork (pipe()
+    // fails), which no worker outcome ever reports.
+    const auto grid = referenceGrid();
+    SupervisorOptions crashing = testOptions();
+    crashing.faults.faults.push_back(
+        fault(ShardFault::Kind::Crash, 12, /*times=*/-1));
+    const std::vector<SystemConfig> few(grid.begin(), grid.begin() + 3);
+    MetricsRegistry &reg = MetricsRegistry::global();
+    const char *const names[] = {
+        "supervisor.worker.forks", "supervisor.worker.crashes",
+        "supervisor.worker.timeouts", "supervisor.worker.exits",
+        "supervisor.worker.protocol_errors"};
+    for (const bool pipeless : {false, true}) {
+        SCOPED_TRACE(pipeless ? "pipe() fails" : "worker crashes");
+        std::vector<std::uint64_t> before;
+        for (const char *name : names)
+            before.push_back(reg.counter(name).value());
+        const SweepResult sup =
+            pipeless ? runSupervisedWithoutPipes(few, testOptions())
+                     : runSupervised(grid, crashing);
+        const std::uint64_t stats[] = {sup.stats.attempts, sup.stats.crashes,
+                                       sup.stats.timeouts, sup.stats.exits,
+                                       sup.stats.protocolErrors};
+        EXPECT_GT(sup.stats.attempts, 0u);
+        for (std::size_t i = 0; i < before.size(); ++i) {
+            EXPECT_EQ(reg.counter(names[i]).value() - before[i], stats[i])
+                << names[i];
+        }
+    }
+}
+
 TEST(ShardRunner, ShardsArePlannedPassesOfWholeL1Groups)
 {
     // The paper's design space has L1 groups of 1 to 9 points; at 4
@@ -841,20 +921,11 @@ TEST(ShardRunner, FailedPipeConcludesTheAttemptAtOnce)
     // poll loop waiting on a worker that never started.
     const auto grid = referenceGrid();
     const std::vector<SystemConfig> few(grid.begin(), grid.begin() + 3);
-    struct rlimit saved;
-    ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &saved), 0);
-    const int lowestFree = dup(0);
-    ASSERT_GE(lowestFree, 0);
-    close(lowestFree);
-    struct rlimit none = saved;
-    none.rlim_cur = static_cast<rlim_t>(lowestFree);
-    ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &none), 0);
     const auto t0 = std::chrono::steady_clock::now();
-    const SweepResult sup = runSupervised(few, testOptions());
+    const SweepResult sup = runSupervisedWithoutPipes(few, testOptions());
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
-    ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &saved), 0);
 
     EXPECT_LT(wall, 5.0);
     EXPECT_TRUE(sup.points.empty());

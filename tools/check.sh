@@ -207,15 +207,31 @@ run_recovery() {
     # One worker at a time, and four bins' workers at once under one
     # poll loop: either way a worker that crashes once is retried,
     # and one that hangs once (ignoring SIGTERM) is killed by the
-    # watchdog and retried; the sweep self-heals.
+    # watchdog and retried; the sweep self-heals. --inject-times
+    # counts per run, so the crash fires once across all four
+    # scenarios, and the registry's supervisor.worker.crashes is the
+    # manifest's count, not a second tally of its own.
     for threads in 1 4; do
         build/examples/design_explorer --refs=50000 --quiet \
             --threads="$threads" --isolate=process \
             --inject-crash-at=12 --inject-times=1 \
+            --manifest="$rec_dir/crash.json" \
+            --metrics-out="$rec_dir/crash.metrics.json" \
             > "$rec_dir/crash.txt"
         cmp "$rec_dir/inproc.txt" "$rec_dir/crash.txt" || {
             echo "transient worker crash leaked into sweep output" \
                  "at --threads=$threads" >&2
+            exit 1
+        }
+        grep -q '"crashes": 1,' "$rec_dir/crash.json" || {
+            echo "--inject-times=1 did not crash exactly one worker" \
+                 "at --threads=$threads" >&2
+            exit 1
+        }
+        grep -q '"supervisor.worker.crashes": 1,' \
+            "$rec_dir/crash.metrics.json" || {
+            echo "supervisor.worker.crashes differs from the manifest's" \
+                 "crashes at --threads=$threads" >&2
             exit 1
         }
         build/examples/design_explorer --refs=50000 --quiet \
@@ -367,14 +383,17 @@ run_asan() {
 run_tsan() {
     # The parallel differential only proves "parallel == serial" when
     # data races would actually be reported, so build the parallel
-    # suite (thread pool, differential, golden figures) and the
-    # batched-engine differential under ThreadSanitizer and run them
-    # with a multi-thread worker team.
+    # suite (thread pool, differential, golden figures), the
+    # batched-engine differential and the service suite (whose
+    # accounting must hold while other threads tick the same
+    # counters) under ThreadSanitizer and run them with a
+    # multi-thread worker team.
     echo "== tier tsan: parallel suites under TSan =="
     configure build-tsan -DTLC_TSAN=ON
-    cmake --build build-tsan --target test_parallel test_batch
+    cmake --build build-tsan --target test_parallel test_batch test_service
     TLC_THREADS=4 build-tsan/tests/test_parallel
     TLC_THREADS=4 build-tsan/tests/test_batch
+    TLC_THREADS=4 build-tsan/tests/test_service
 }
 
 run_smoke() {
